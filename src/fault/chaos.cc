@@ -109,12 +109,7 @@ ChaosResult RunChaosScenario(const ChaosParams& params, std::uint64_t seed) {
       if (!c.alive) return;
       // Client-side sanity: never camp on an extender it cannot hear (a
       // corrupted-but-decodable directive could point anywhere).
-      if (d->extender < 0 ||
-          static_cast<std::size_t>(d->extender) >= num_ext ||
-          net.WifiRate(it->second, static_cast<std::size_t>(d->extender)) <=
-              0.0) {
-        return;
-      }
+      if (!net.CanHear(it->second, d->extender)) return;
       c.extender = d->extender;  // idempotent under re-delivery
       send_to_cc(MessageClass::kAck,
                  core::Encode(core::DirectiveAck{c.id, d->extender}));
@@ -244,8 +239,7 @@ ChaosResult RunChaosScenario(const ChaosParams& params, std::uint64_t seed) {
       model::Assignment a(num_users);
       for (std::size_t i = 0; i < num_users; ++i) {
         const Client& c = clients[i];
-        if (c.alive && c.extender >= 0 &&
-            net.WifiRate(i, static_cast<std::size_t>(c.extender)) > 0.0) {
+        if (c.alive && net.CanHear(i, c.extender)) {
           a.Assign(i, static_cast<std::size_t>(c.extender));
         }
       }

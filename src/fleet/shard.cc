@@ -180,6 +180,12 @@ void ShardRuntime::DeliverDirectives(
       }
       Client& client = clients_[static_cast<std::size_t>(idx)];
       if (!client.alive) continue;
+      // Same client-side sanity as the chaos scenario's clients: refuse (no
+      // camp, no ack) an extender this client cannot hear; the controller's
+      // retry path redelivers the real directive.
+      if (!truth_.CanHear(static_cast<std::size_t>(idx), applied->extender)) {
+        continue;
+      }
       client.extender = applied->extender;
       core::DirectiveAck ack;
       ack.user_id = applied->user_id;
@@ -347,13 +353,8 @@ double ShardRuntime::TruthAggregate() const {
   model::Assignment assign(truth_.NumUsers());
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     const Client& client = clients_[i];
-    if (!client.alive || client.extender < 0 ||
-        client.extender >= static_cast<int>(truth_.NumExtenders())) {
-      continue;
-    }
-    if (truth_.WifiRate(i, static_cast<std::size_t>(client.extender)) <= 0.0) {
-      continue;  // client applied a directive to a link it cannot hear
-    }
+    // RestoreState admits any in-range extender, heard or not.
+    if (!client.alive || !truth_.CanHear(i, client.extender)) continue;
     assign.Assign(i, static_cast<std::size_t>(client.extender));
   }
   return model::Evaluator().AggregateThroughput(truth_, assign);

@@ -108,6 +108,11 @@ double Network::WifiRate(std::size_t user, std::size_t extender) const {
   return rates_.at(user * NumExtenders() + extender);
 }
 
+bool Network::CanHear(std::size_t user, int extender) const {
+  return extender >= 0 && static_cast<std::size_t>(extender) < NumExtenders() &&
+         WifiRate(user, static_cast<std::size_t>(extender)) > 0.0;
+}
+
 double Network::PlcRate(std::size_t extender) const {
   return extenders_.at(extender).plc_rate_mbps;
 }

@@ -106,6 +106,10 @@ class Network {
   const double* WifiRateRow(std::size_t user) const {
     return rates_.data() + user * NumExtenders();
   }
+  // True when `extender` names an extender of this network and `user` has
+  // a nonzero WiFi rate to it. A client applies this check to every
+  // directive it receives: corrupted bytes can still decode, naming any id.
+  bool CanHear(std::size_t user, int extender) const;
   // c_j in Mbit/s.
   double PlcRate(std::size_t extender) const;
   int MaxUsers(std::size_t extender) const;

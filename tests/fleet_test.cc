@@ -231,6 +231,44 @@ TEST(Supervisor, SaveRestoreRoundTrips) {
   EXPECT_EQ(blob, blob2);
 }
 
+// --- ShardRuntime ---------------------------------------------------------
+
+// Every DIRECTIVE is corrupted on the wire. Some corrupted copies still
+// decode, naming an extender the building may not have or the client cannot
+// hear; the client must refuse those (no camp, no ack), so its applied
+// extenders stay valid and the shard's checkpoint keeps restoring.
+TEST(ShardRuntime, CorruptDirectivesNeverParkClientsOffTheBuilding) {
+  ShardParams p;
+  p.wire.ForClass(fault::MessageClass::kDirective).corrupt = 1.0;
+  for (std::uint32_t id = 0; id < 64; ++id) {
+    SCOPED_TRACE(id);
+    ShardRuntime shard(id, /*fleet_seed=*/21, p);
+    std::vector<FleetMessage> acks;
+    for (std::uint64_t round = 0; round < 40; ++round) {
+      std::vector<FleetMessage> batch = std::move(acks);
+      shard.GenerateTraffic(round, /*chaos=*/true, &batch);
+      RoundOutcome rc = shard.ProcessBatch(round, /*chaos=*/true, batch);
+      ReoptOutcome ro =
+          shard.Reoptimize(round, /*chaos=*/true, core::ReoptTier::kFull);
+      acks = std::move(rc.outbound);
+      acks.insert(acks.end(), ro.outbound.begin(), ro.outbound.end());
+    }
+    for (int e : shard.ClientExtenders()) {
+      EXPECT_GE(e, -1);
+      EXPECT_LT(e, static_cast<int>(p.num_extenders));
+    }
+    std::string blob;
+    shard.SaveState(&blob);
+    ShardRuntime restored(id, /*fleet_seed=*/21, p);
+    util::ByteCursor cur(blob);
+    ASSERT_TRUE(restored.RestoreState(&cur));
+    EXPECT_TRUE(cur.AtEnd());
+    std::string blob2;
+    restored.SaveState(&blob2);
+    EXPECT_EQ(blob, blob2);
+  }
+}
+
 // --- FleetRuntime --------------------------------------------------------
 
 FleetParams SmallFleet(std::size_t shards, std::uint64_t rounds) {
