@@ -114,16 +114,16 @@ IoCounters::IoCounters(MetricsRegistry& r)
       retries_eintr(r.GetCounter("io.retries.eintr")),
       short_writes(r.GetCounter("io.short_writes")) {}
 
+LogCounters::LogCounters(MetricsRegistry& r, std::string_view prefix)
+    : io_error(r.GetCounter(std::string(prefix) + ".io_error")),
+      degraded(r.GetCounter(std::string(prefix) + ".degraded")),
+      rot_truncated(r.GetCounter(std::string(prefix) + ".rot_truncated")),
+      torn_tail(r.GetCounter(std::string(prefix) + ".torn_tail")) {}
+
 RecoverCounters::RecoverCounters(MetricsRegistry& r)
-    : journal_io_error(r.GetCounter("recover.journal.io_error")),
-      journal_degraded(r.GetCounter("recover.journal.degraded")),
+    : journal(r, "recover.journal"),
       journal_compact_failed(r.GetCounter("recover.journal.compact_failed")),
-      journal_rot_truncated(r.GetCounter("recover.journal.rot_truncated")),
-      journal_torn_tail(r.GetCounter("recover.journal.torn_tail")),
-      fleet_io_error(r.GetCounter("recover.fleet.io_error")),
-      fleet_degraded(r.GetCounter("recover.fleet.degraded")),
-      fleet_rot_truncated(r.GetCounter("recover.fleet.rot_truncated")),
-      fleet_torn_tail(r.GetCounter("recover.fleet.torn_tail")) {}
+      fleet(r, "recover.fleet") {}
 
 }  // namespace wolt::obs
 

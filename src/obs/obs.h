@@ -192,21 +192,22 @@ struct IoCounters {
   Counter& short_writes;         // io.short_writes (partial write continued)
 };
 
-// recover/journal + recover/fleet_journal: graceful-degradation accounting.
-// io_error counts failed appends; degraded counts the one-way flips into
-// best-effort (journaling-disabled) mode; rot_truncated/torn_tail classify
-// what replay discarded from the tail of a damaged journal.
+// recover/log, per journal: graceful-degradation accounting. io_error
+// counts failed appends; degraded counts the one-way flips into best-effort
+// (journaling-disabled) mode; rot_truncated/torn_tail classify what replay
+// discarded from the tail of a damaged journal.
+struct LogCounters {
+  LogCounters(MetricsRegistry& r, std::string_view prefix);
+  Counter& io_error;       // <prefix>.io_error
+  Counter& degraded;       // <prefix>.degraded
+  Counter& rot_truncated;  // <prefix>.rot_truncated
+  Counter& torn_tail;      // <prefix>.torn_tail
+};
 struct RecoverCounters {
   explicit RecoverCounters(MetricsRegistry& r);
-  Counter& journal_io_error;       // recover.journal.io_error
-  Counter& journal_degraded;       // recover.journal.degraded
-  Counter& journal_compact_failed; // recover.journal.compact_failed
-  Counter& journal_rot_truncated;  // recover.journal.rot_truncated
-  Counter& journal_torn_tail;      // recover.journal.torn_tail
-  Counter& fleet_io_error;         // recover.fleet.io_error
-  Counter& fleet_degraded;         // recover.fleet.degraded
-  Counter& fleet_rot_truncated;    // recover.fleet.rot_truncated
-  Counter& fleet_torn_tail;        // recover.fleet.torn_tail
+  LogCounters journal;              // recover.journal.* (sweep journal)
+  Counter& journal_compact_failed;  // recover.journal.compact_failed
+  LogCounters fleet;                // recover.fleet.* (fleet journal)
 };
 
 // Every hook bundle bound to one registry.
@@ -311,10 +312,13 @@ struct IoCounters {
   NoopCounter write_errors, write_errors_enospc, write_errors_eio,
       write_errors_other, retries_eintr, short_writes;
 };
+struct LogCounters {
+  NoopCounter io_error, degraded, rot_truncated, torn_tail;
+};
 struct RecoverCounters {
-  NoopCounter journal_io_error, journal_degraded, journal_compact_failed,
-      journal_rot_truncated, journal_torn_tail, fleet_io_error,
-      fleet_degraded, fleet_rot_truncated, fleet_torn_tail;
+  LogCounters journal;
+  NoopCounter journal_compact_failed;
+  LogCounters fleet;
 };
 
 struct MetricsScope {

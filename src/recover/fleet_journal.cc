@@ -1,11 +1,8 @@
 #include "recover/fleet_journal.h"
 
-#include <cstdio>
 #include <unordered_set>
 #include <utility>
 
-#include "obs/obs.h"
-#include "recover/journal.h"  // Fnv1a64
 #include "util/codec.h"
 
 namespace wolt::recover {
@@ -22,6 +19,9 @@ constexpr std::uint8_t kKindHeader = 1;
 constexpr std::uint8_t kKindShardRound = 2;
 constexpr std::uint8_t kKindFleetRound = 3;
 constexpr std::uint8_t kKindSnapshot = 4;
+
+constexpr LogFormat kFormat{kFleetJournalMagic, "fleet journal",
+                           &obs::RecoverCounters::fleet};
 
 bool DecodeShardRoundPayload(const std::string& payload,
                              ShardRoundRecord* out) {
@@ -71,8 +71,6 @@ bool DecodeSnapshotPayload(const std::string& payload, std::uint64_t* round,
   *blob = cur.String();
   return cur.AtEnd();
 }
-
-}  // namespace
 
 std::string EncodeFleetHeaderPayload(const FleetJournalHeader& header) {
   std::string out;
@@ -142,156 +140,64 @@ std::string EncodeSnapshotPayload(std::uint64_t round,
   return out;
 }
 
-std::string FrameFleetPayload(const std::string& payload) {
-  std::string out;
-  PutU32(&out, kFleetJournalMagic);
-  PutU32(&out, static_cast<std::uint32_t>(payload.size()));
-  PutU64(&out, Fnv1a64(payload.data(), payload.size()));
-  out.append(payload);
-  return out;
-}
+}  // namespace
 
 FleetJournalReadResult ReadFleetJournal(const std::string& path,
-                                        io::Vfs* vfs_in) {
-  io::Vfs& vfs = io::OrDefault(vfs_in);
+                                        io::Vfs* vfs) {
   FleetJournalReadResult out;
-
-  std::string bytes;
-  if (!vfs.ReadFileBytes(path, &bytes).ok()) {
-    out.error = "cannot open fleet journal: " + path;
-    return out;
-  }
-
-  constexpr std::size_t kFrameHeader =
-      sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t);
-  std::size_t pos = 0;
-  bool saw_header = false;
-  bool decode_failed = false;
   std::unordered_set<std::uint64_t> seen_shard;  // round*num_shards + shard
   std::unordered_set<std::uint64_t> seen_fleet;  // round
-  // Record counts at the last snapshot seen; records past it are discarded
-  // after the scan (the resumed run regenerates them).
+  // Record counts at the last snapshot seen. Records past it are discarded
+  // after the scan: resume truncates to the checkpoint and re-executes
+  // everything after it, regenerating them.
   std::size_t cp_shard_count = 0;
   std::size_t cp_fleet_count = 0;
 
-  while (true) {
-    if (bytes.size() - pos < kFrameHeader) break;
-    Cursor frame(bytes.data() + pos, kFrameHeader);
-    const std::uint32_t magic = frame.U32();
-    const std::uint32_t len = frame.U32();
-    const std::uint64_t checksum = frame.U64();
-    if (magic != kFleetJournalMagic) break;
-    if (len > bytes.size() - pos - kFrameHeader) break;  // truncated payload
-    const char* payload_data = bytes.data() + pos + kFrameHeader;
-    if (Fnv1a64(payload_data, len) != checksum) break;
-    const std::string payload(payload_data, len);
-    const std::size_t frame_end = pos + kFrameHeader + len;
-
-    if (!saw_header) {
-      if (!DecodeFleetHeaderPayload(payload, &out.header)) {
-        out.error = "fleet journal header record is missing or corrupt: " +
-                    path;
-        out.torn_bytes = bytes.size();
-        return out;
-      }
-      saw_header = true;
-      out.header_bytes = frame_end;
-    } else if (payload.empty()) {
-      decode_failed = true;
-      break;
-    } else if (static_cast<std::uint8_t>(payload[0]) == kKindShardRound) {
-      ShardRoundRecord rec;
-      if (!DecodeShardRoundPayload(payload, &rec)) {
-        decode_failed = true;
-        break;
-      }
-      const std::uint64_t key =
-          rec.round * out.header.num_shards + rec.shard;
-      if (!seen_shard.insert(key).second) {
-        ++out.duplicates;
-      } else {
-        out.shard_records.push_back(rec);
-      }
-    } else if (static_cast<std::uint8_t>(payload[0]) == kKindFleetRound) {
-      FleetRoundRecord rec;
-      if (!DecodeFleetRoundPayload(payload, &rec)) {
-        decode_failed = true;
-        break;
-      }
-      if (!seen_fleet.insert(rec.round).second) {
-        ++out.duplicates;
-      } else {
-        out.fleet_records.push_back(rec);
-      }
-    } else if (static_cast<std::uint8_t>(payload[0]) == kKindSnapshot) {
-      std::uint64_t round = 0;
-      std::string blob;
-      if (!DecodeSnapshotPayload(payload, &round, &blob)) {
-        decode_failed = true;
-        break;
-      }
-      out.has_checkpoint = true;
-      out.checkpoint_round = round;
-      out.checkpoint_blob = std::move(blob);
-      out.checkpoint_bytes = frame_end;
-      cp_shard_count = out.shard_records.size();
-      cp_fleet_count = out.fleet_records.size();
-    } else {
-      // Unknown record kind under a valid checksum: medium corruption.
-      decode_failed = true;
-      break;
-    }
-    pos = frame_end;
-  }
-
-  if (!saw_header) {
-    out.error = "fleet journal has no valid header record: " + path;
-    out.torn_bytes = bytes.size();
-    return out;
-  }
-  out.valid_bytes = pos;
-  out.torn_bytes = bytes.size() - pos;
-  // Classify why the valid prefix ended: an incomplete final frame is a torn
-  // append (expected after a crash); a complete-looking frame with a bad
-  // magic/checksum/payload is bit-rot. Either way replay truncates to the
-  // last good checksum frame instead of aborting.
-  if (out.torn_bytes > 0) {
-    const std::size_t tail = bytes.size() - pos;
-    if (decode_failed) {
-      out.tail_rot = true;
-    } else if (tail < kFrameHeader) {
-      out.tail_torn = true;
-    } else {
-      Cursor frame(bytes.data() + pos, kFrameHeader);
-      const std::uint32_t magic = frame.U32();
-      const std::uint32_t len = frame.U32();
-      if (magic != kFleetJournalMagic) {
-        out.tail_rot = true;
-      } else if (len > tail - kFrameHeader) {
-        out.tail_torn = true;
-      } else {
-        out.tail_rot = true;  // checksum mismatch
-      }
-    }
-    if (obs::MetricsScope* s = obs::CurrentScope()) {
-      if (out.tail_torn) s->recover.fleet_torn_tail.Add(1);
-      if (out.tail_rot) s->recover.fleet_rot_truncated.Add(1);
-    }
-  }
-  // Keep only records covered by the checkpoint: resume truncates to the
-  // checkpoint and re-executes everything after it.
-  if (!out.has_checkpoint) {
-    out.discarded_records = out.shard_records.size() +
-                            out.fleet_records.size();
-    out.shard_records.clear();
-    out.fleet_records.clear();
-  } else {
-    out.discarded_records = (out.shard_records.size() - cp_shard_count) +
-                            (out.fleet_records.size() - cp_fleet_count);
-    out.shard_records.resize(cp_shard_count);
-    out.fleet_records.resize(cp_fleet_count);
-  }
-  out.ok = true;
+  ScanLog(
+      path, kFormat, vfs,
+      [&](const std::string& payload, std::uint64_t frame_end) {
+        if (!DecodeFleetHeaderPayload(payload, &out.header)) return false;
+        out.header_bytes = frame_end;
+        return true;
+      },
+      [&](const std::string& payload, std::uint64_t frame_end) {
+        // Each decoder checks the record kind first, so a payload that
+        // none accepts (bad kind or bad body) is corruption.
+        ShardRoundRecord shard;
+        FleetRoundRecord fleet;
+        std::uint64_t round = 0;
+        std::string blob;
+        if (DecodeShardRoundPayload(payload, &shard)) {
+          const std::uint64_t key =
+              shard.round * out.header.num_shards + shard.shard;
+          if (!seen_shard.insert(key).second) {
+            ++out.duplicates;
+          } else {
+            out.shard_records.push_back(shard);
+          }
+        } else if (DecodeFleetRoundPayload(payload, &fleet)) {
+          if (!seen_fleet.insert(fleet.round).second) {
+            ++out.duplicates;
+          } else {
+            out.fleet_records.push_back(fleet);
+          }
+        } else if (DecodeSnapshotPayload(payload, &round, &blob)) {
+          out.has_checkpoint = true;
+          out.checkpoint_round = round;
+          out.checkpoint_blob = std::move(blob);
+          out.checkpoint_bytes = frame_end;
+          cp_shard_count = out.shard_records.size();
+          cp_fleet_count = out.fleet_records.size();
+        } else {
+          return false;
+        }
+        return true;
+      },
+      &out);
+  out.discarded_records = (out.shard_records.size() - cp_shard_count) +
+                          (out.fleet_records.size() - cp_fleet_count);
+  out.shard_records.resize(cp_shard_count);
+  out.fleet_records.resize(cp_fleet_count);
   return out;
 }
 
@@ -301,96 +207,38 @@ FleetJournalReadResult ReadFleetJournal(const std::string& path,
 FleetJournalWriter::FleetJournalWriter(const std::string& path,
                                        const FleetJournalHeader& header,
                                        Options options)
-    : path_(path),
-      options_(std::move(options)),
-      vfs_(&io::OrDefault(options_.vfs)) {
-  io::IoStatus st;
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kTruncate, &st);
-  if (fd_ < 0) {
-    Degrade(st, "cannot open fleet journal");
-    return;
-  }
-  ok_ = true;
-  WriteFrame(EncodeFleetHeaderPayload(header));  // degrades on failure
+    : options_(std::move(options)),
+      log_(path, kFormat, options_.vfs, options_.sync_every_append) {
+  if (log_.Create()) Write(EncodeFleetHeaderPayload(header));  // append 1
 }
 
 FleetJournalWriter::FleetJournalWriter(const std::string& path,
                                        const FleetJournalReadResult& existing,
                                        Options options)
-    : path_(path),
-      options_(std::move(options)),
-      vfs_(&io::OrDefault(options_.vfs)) {
+    : options_(std::move(options)),
+      log_(path, kFormat, options_.vfs, options_.sync_every_append) {
   if (!existing.ok) return;  // caller decides; typically restart fresh
-  const std::uint64_t keep = existing.has_checkpoint
-                                 ? existing.checkpoint_bytes
-                                 : existing.header_bytes;
-  io::IoStatus st = vfs_->Truncate(path_, keep);
-  if (!st.ok()) {
-    Degrade(st, "cannot truncate fleet journal to checkpoint");
-    return;
-  }
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kAppend, &st);
-  if (fd_ < 0) {
-    Degrade(st, "cannot reopen fleet journal");
-    return;
-  }
-  ok_ = true;
+  log_.Reopen(existing.has_checkpoint ? existing.checkpoint_bytes
+                                      : existing.header_bytes);
 }
 
-FleetJournalWriter::~FleetJournalWriter() { Close(); }
-
-void FleetJournalWriter::WriteFrame(const std::string& payload) {
-  if (!ok_ || fd_ < 0) return;
-  io::IoStatus st = io::WriteAll(*vfs_, fd_, FrameFleetPayload(payload));
-  if (st.ok() && options_.sync_every_append) {
-    st = io::FsyncRetry(*vfs_, fd_);
-  }
-  if (!st.ok()) {
-    Degrade(st, "fleet journal append failed");
-    return;
-  }
+void FleetJournalWriter::Write(const std::string& payload) {
+  if (!log_.Append(payload)) return;
   ++appends_;
   if (options_.after_append) options_.after_append(appends_);
 }
 
 void FleetJournalWriter::AppendShardRound(const ShardRoundRecord& record) {
-  WriteFrame(EncodeShardRoundPayload(record));
+  Write(EncodeShardRoundPayload(record));
 }
 
 void FleetJournalWriter::AppendFleetRound(const FleetRoundRecord& record) {
-  WriteFrame(EncodeFleetRoundPayload(record));
+  Write(EncodeFleetRoundPayload(record));
 }
 
 void FleetJournalWriter::AppendSnapshot(std::uint64_t round,
                                         const std::string& blob) {
-  WriteFrame(EncodeSnapshotPayload(round, blob));
-}
-
-void FleetJournalWriter::Close() {
-  if (fd_ < 0) return;
-  io::IoStatus st = io::FsyncRetry(*vfs_, fd_);
-  const io::IoStatus close_st = vfs_->Close(fd_);
-  if (st.ok()) st = close_st;
-  fd_ = -1;
-  if (!st.ok()) Degrade(st, "fleet journal close failed");
-}
-
-void FleetJournalWriter::Degrade(const io::IoStatus& status, const char* what) {
-  if (fd_ >= 0) {
-    vfs_->Close(fd_);
-    fd_ = -1;
-  }
-  ok_ = false;
-  if (degraded_) return;
-  degraded_ = true;
-  std::fprintf(stderr,
-               "wolt: fleet journal %s: %s (%s) — journaling disabled, the "
-               "run continues best-effort (no crash resume past this point)\n",
-               path_.c_str(), what, status.Message().c_str());
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    s->recover.fleet_io_error.Add(1);
-    s->recover.fleet_degraded.Add(1);
-  }
+  Write(EncodeSnapshotPayload(round, blob));
 }
 
 }  // namespace wolt::recover

@@ -3,12 +3,8 @@
 // run SIGKILLed at any instant resumes from its last snapshot and produces a
 // byte-identical report to an uninterrupted run.
 //
-// Same framing as the sweep journal (recover/journal.h) under a distinct
-// magic so the two artefacts can never be resumed against each other:
-//
-//   [u32 "WFL1"][u32 payload_len][u64 fnv1a(payload)][payload bytes]
-//
-// Record stream per completed round: one ShardRoundRecord per shard, one
+// The WFL1 payload schema on the framed record log (recover/log.h). Record
+// stream per completed round: one ShardRoundRecord per shard, one
 // FleetRoundRecord, and — every `snapshot_every` rounds and after the final
 // round — a snapshot record carrying the serialized fleet state (queue,
 // supervisor, every shard). The snapshot is the resume point: the reader
@@ -27,6 +23,7 @@
 #include <vector>
 
 #include "io/vfs.h"
+#include "recover/log.h"
 
 namespace wolt::recover {
 
@@ -75,9 +72,8 @@ struct FleetRoundRecord {
   std::uint64_t reopt_units = 0;     // virtual budget units spent
 };
 
-struct FleetJournalReadResult {
-  bool ok = false;
-  std::string error;
+// The scan outcome (see LogScan) plus the decoded journal.
+struct FleetJournalReadResult : LogScan {
   FleetJournalHeader header;
   // Records up to (and including) the last valid snapshot, deduplicated
   // first-wins, in order of first appearance.
@@ -90,29 +86,22 @@ struct FleetJournalReadResult {
   std::string checkpoint_blob;         // fleet::FleetRuntime state
   std::uint64_t checkpoint_bytes = 0;  // file prefix ending after it
   std::uint64_t header_bytes = 0;      // file prefix ending after the header
-  std::uint64_t valid_bytes = 0;       // full validated prefix
-  std::uint64_t torn_bytes = 0;        // discarded tail past the prefix
   std::size_t duplicates = 0;          // duplicate records dropped
   std::size_t discarded_records = 0;   // valid records past the checkpoint
-  // Tail classification (see JournalReadResult): torn = incomplete final
-  // frame, rot = complete-looking frame with bad magic/checksum/payload.
-  // Counted on recover.fleet.{torn_tail,rot_truncated}.
-  bool tail_torn = false;
-  bool tail_rot = false;
 };
 
-// Validates `path` front to back. Never throws; failures land in `error`.
-// Damage never aborts replay: the corrupt tail is classified (torn vs rot)
-// and truncated back to the last good checksum frame.
+// Scans `path` (see ScanLog). Never throws; failures land in `error`.
 FleetJournalReadResult ReadFleetJournal(const std::string& path,
                                         io::Vfs* vfs = nullptr);
 
 class FleetJournalWriter {
  public:
   struct Options {
-    // Test hook, called after each append has been flushed with the count
-    // of appends made through this writer. The crash harness raises SIGKILL
-    // in here to die at an exact journal position.
+    // Test hook, called after each frame has been written, with the count
+    // of frames written through this writer: every frame counts, and the
+    // header of a fresh journal is append 1. The crash harness raises
+    // SIGKILL in here to die at an exact journal position, and round ends
+    // can be read off the count.
     std::function<void(std::size_t)> after_append;
     // Storage backend; nullptr = the real filesystem.
     io::Vfs* vfs = nullptr;
@@ -130,47 +119,24 @@ class FleetJournalWriter {
   FleetJournalWriter(const std::string& path,
                      const FleetJournalReadResult& existing, Options options);
 
-  ~FleetJournalWriter();
-
-  FleetJournalWriter(const FleetJournalWriter&) = delete;
-  FleetJournalWriter& operator=(const FleetJournalWriter&) = delete;
-
-  // Journaling is active. When false every append is a no-op; the fleet run
-  // keeps going (best-effort mode, no crash resume past that point).
-  bool ok() const { return ok_; }
-  // The writer gave up after an I/O failure; one loud stderr warning was
-  // emitted and recover.fleet.{io_error,degraded} were bumped.
-  bool degraded() const { return degraded_; }
+  // Journaling is active (see LogWriter::ok()). When false every append is
+  // a no-op; the fleet run keeps going, with no crash resume past that point.
+  bool ok() const { return log_.ok(); }
+  bool degraded() const { return log_.degraded(); }
 
   void AppendShardRound(const ShardRoundRecord& record);
   void AppendFleetRound(const FleetRoundRecord& record);
   void AppendSnapshot(std::uint64_t round, const std::string& blob);
 
   // fsync + close. Called by the destructor if not called explicitly.
-  void Close();
+  void Close() { log_.Close(); }
 
  private:
-  void WriteFrame(const std::string& payload);
-  void Degrade(const io::IoStatus& status, const char* what);
+  void Write(const std::string& payload);
 
-  std::string path_;
   Options options_;
-  io::Vfs* vfs_ = nullptr;
-  int fd_ = -1;
-  bool ok_ = false;
-  bool degraded_ = false;
+  LogWriter log_;
   std::size_t appends_ = 0;
 };
-
-// Payload codecs, exposed for the torn-tail/corruption unit tests.
-std::string EncodeFleetHeaderPayload(const FleetJournalHeader& header);
-std::string EncodeShardRoundPayload(const ShardRoundRecord& record);
-std::string EncodeFleetRoundPayload(const FleetRoundRecord& record);
-std::string EncodeSnapshotPayload(std::uint64_t round,
-                                  const std::string& blob);
-bool DecodeFleetHeaderPayload(const std::string& payload,
-                              FleetJournalHeader* out);
-// Frames a payload as it appears on disk (magic + length + checksum).
-std::string FrameFleetPayload(const std::string& payload);
 
 }  // namespace wolt::recover

@@ -1,12 +1,9 @@
 #include "recover/journal.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
+#include <utility>
 
 #include "obs/obs.h"
 #include "util/codec.h"
-#include "util/fileio.h"
 
 namespace wolt::recover {
 namespace {
@@ -38,10 +35,8 @@ void PutSnapshot(std::string* out, const obs::MetricsSnapshot& m) {
   for (const obs::HistogramSample& h : m.histograms) {
     PutString(out, h.name);
     PutU8(out, h.timing ? 1 : 0);
-    PutU64(out, h.bounds.size());
-    for (double b : h.bounds) PutDouble(out, b);
-    PutU64(out, h.counts.size());
-    for (std::uint64_t c : h.counts) PutU64(out, c);
+    util::PutDoubleVec(out, h.bounds);
+    util::PutU64Vec(out, h.counts);
     PutU64(out, h.underflow);
     PutU64(out, h.overflow);
     PutU64(out, h.rejected);
@@ -84,16 +79,10 @@ bool ReadSnapshot(Cursor* cur, obs::MetricsSnapshot* out) {
 constexpr std::uint8_t kKindHeader = 1;
 constexpr std::uint8_t kKindTask = 2;
 
-}  // namespace
+constexpr LogFormat kFormat{kJournalMagic, "journal",
+                           &obs::RecoverCounters::journal};
 
-std::uint64_t Fnv1a64(const char* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+}  // namespace
 
 std::string EncodeHeaderPayload(const JournalHeader& header) {
   std::string out;
@@ -125,8 +114,7 @@ std::string EncodeTaskPayload(const TaskRecord& record) {
   PutDouble(&out, record.reassoc_per_user_epoch);
   PutU64(&out, record.quarantine_trips);
   PutDouble(&out, record.elapsed_us);
-  PutU64(&out, record.user_throughput.size());
-  for (double v : record.user_throughput) PutDouble(&out, v);
+  util::PutDoubleVec(&out, record.user_throughput);
   PutU8(&out, record.has_metrics ? 1 : 0);
   if (record.has_metrics) PutSnapshot(&out, record.metrics);
   return out;
@@ -151,116 +139,28 @@ bool DecodeTaskPayload(const std::string& payload, TaskRecord* out) {
 }
 
 std::string FramePayload(const std::string& payload) {
-  std::string out;
-  PutU32(&out, kJournalMagic);
-  PutU32(&out, static_cast<std::uint32_t>(payload.size()));
-  PutU64(&out, Fnv1a64(payload.data(), payload.size()));
-  out.append(payload);
-  return out;
+  return FrameRecord(kJournalMagic, payload);
 }
 
-namespace {
-
-// Classifies the invalid tail starting at `pos` and bumps the matching obs
-// counters. A tail shorter than a frame header, or one whose declared
-// payload runs past end-of-file, is a torn final append (expected after a
-// crash). A complete-looking frame with a bad magic, bad checksum, or
-// undecodable payload is bit-rot on the medium.
-void ClassifyTail(const std::string& bytes, std::size_t pos, bool decode_failed,
-                  bool* torn, bool* rot) {
-  constexpr std::size_t kFrameHeader =
-      sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t);
-  *torn = false;
-  *rot = false;
-  const std::size_t tail = bytes.size() - pos;
-  if (tail == 0) return;
-  if (decode_failed) {
-    *rot = true;  // checksum passed but the payload is garbage
-  } else if (tail < kFrameHeader) {
-    *torn = true;
-  } else {
-    Cursor frame(bytes.data() + pos, kFrameHeader);
-    const std::uint32_t magic = frame.U32();
-    const std::uint32_t len = frame.U32();
-    if (magic != kJournalMagic) {
-      *rot = true;
-    } else if (len > tail - kFrameHeader) {
-      *torn = true;  // payload cut off by the crash
-    } else {
-      *rot = true;  // checksum mismatch
-    }
-  }
-}
-
-}  // namespace
-
-JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs_in) {
-  io::Vfs& vfs = io::OrDefault(vfs_in);
+JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs) {
   JournalReadResult out;
-
-  std::string bytes;
-  if (!vfs.ReadFileBytes(path, &bytes).ok()) {
-    out.error = "cannot open journal: " + path;
-    return out;
-  }
-
-  constexpr std::size_t kFrameHeader =
-      sizeof(std::uint32_t) * 2 + sizeof(std::uint64_t);
-  std::size_t pos = 0;
-  bool saw_header = false;
-  bool decode_failed = false;
-  std::vector<std::uint64_t> seen;
-
-  while (true) {
-    if (bytes.size() - pos < kFrameHeader) break;
-    Cursor frame(bytes.data() + pos, kFrameHeader);
-    const std::uint32_t magic = frame.U32();
-    const std::uint32_t len = frame.U32();
-    const std::uint64_t checksum = frame.U64();
-    if (magic != kJournalMagic) break;
-    if (len > bytes.size() - pos - kFrameHeader) break;  // truncated payload
-    const char* payload_data = bytes.data() + pos + kFrameHeader;
-    if (Fnv1a64(payload_data, len) != checksum) break;
-    const std::string payload(payload_data, len);
-
-    if (!saw_header) {
-      // The first record must be the header; anything else means this is
-      // not a journal (or its head is corrupt) and nothing can be salvaged.
-      if (!DecodeHeaderPayload(payload, &out.header)) {
-        out.error = "journal header record is missing or corrupt: " + path;
-        out.torn_bytes = bytes.size();
-        return out;
-      }
-      saw_header = true;
-    } else {
-      TaskRecord rec;
-      if (!DecodeTaskPayload(payload, &rec)) {  // corrupt tail
-        decode_failed = true;
-        break;
-      }
-      if (std::find(seen.begin(), seen.end(), rec.index) != seen.end()) {
-        ++out.duplicates;
-      } else {
-        seen.push_back(rec.index);
-        out.records.push_back(std::move(rec));
-      }
-    }
-    pos += kFrameHeader + len;
-  }
-
-  if (!saw_header) {
-    out.error = "journal has no valid header record: " + path;
-    out.torn_bytes = bytes.size();
-    return out;
-  }
-  out.ok = true;
-  out.valid_bytes = pos;
-  out.torn_bytes = bytes.size() - pos;
-  ClassifyTail(bytes, pos, decode_failed, &out.tail_torn, &out.tail_rot);
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    if (out.tail_torn) s->recover.journal_torn_tail.Add(1);
-    if (out.tail_rot) s->recover.journal_rot_truncated.Add(1);
-  }
+  std::unordered_set<std::uint64_t> seen;
+  ScanLog(
+      path, kFormat, vfs,
+      [&](const std::string& payload, std::uint64_t) {
+        return DecodeHeaderPayload(payload, &out.header);
+      },
+      [&](const std::string& payload, std::uint64_t) {
+        TaskRecord rec;
+        if (!DecodeTaskPayload(payload, &rec)) return false;
+        if (!seen.insert(rec.index).second) {
+          ++out.duplicates;
+        } else {
+          out.records.push_back(std::move(rec));
+        }
+        return true;
+      },
+      &out);
   return out;
 }
 
@@ -269,133 +169,49 @@ JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs_in) {
 
 JournalWriter::JournalWriter(const std::string& path,
                              const JournalHeader& header, Options options)
-    : path_(path),
-      header_(header),
+    : header_(header),
       options_(std::move(options)),
-      vfs_(&io::OrDefault(options_.vfs)) {
-  io::IoStatus st;
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kTruncate, &st);
-  if (fd_ < 0) {
-    Degrade(st, "cannot open sweep journal");
-    return;
-  }
-  ok_ = true;
-  WriteFrame(EncodeHeaderPayload(header_));  // degrades on failure
+      log_(path, kFormat, options_.vfs, options_.sync_every_append) {
+  if (log_.Create()) log_.Append(EncodeHeaderPayload(header_));
 }
 
 JournalWriter::JournalWriter(const std::string& path,
                              const JournalReadResult& existing,
                              Options options)
-    : path_(path),
-      header_(existing.header),
+    : header_(existing.header),
       options_(std::move(options)),
-      vfs_(&io::OrDefault(options_.vfs)) {
+      log_(path, kFormat, options_.vfs, options_.sync_every_append) {
   if (!existing.ok) return;  // caller decides; typically restart fresh
-  // Discard the torn tail so appended records land right after the valid
-  // prefix, then keep writing the same file.
-  io::IoStatus st = vfs_->Truncate(path_, existing.valid_bytes);
-  if (!st.ok()) {
-    Degrade(st, "cannot truncate torn journal tail");
-    return;
-  }
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kAppend, &st);
-  if (fd_ < 0) {
-    Degrade(st, "cannot reopen sweep journal");
-    return;
-  }
+  log_.Reopen(existing.valid_bytes);
   payloads_.reserve(existing.records.size());
-  seen_indices_.reserve(existing.records.size());
   for (const TaskRecord& rec : existing.records) {
     payloads_.push_back(EncodeTaskPayload(rec));
-    seen_indices_.push_back(rec.index);
+    seen_indices_.insert(rec.index);
   }
-  ok_ = true;
 }
-
-JournalWriter::~JournalWriter() { Close(); }
 
 void JournalWriter::Append(const TaskRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!ok_ || fd_ < 0) return;
-  if (std::find(seen_indices_.begin(), seen_indices_.end(), record.index) !=
-      seen_indices_.end()) {
-    return;  // already journaled (restored on resume); keep one copy
+  if (!log_.ok() || seen_indices_.count(record.index) != 0) {
+    return;  // journaling off, or already journaled (restored on resume)
   }
-  const std::string payload = EncodeTaskPayload(record);
-  WriteFrame(payload);
-  if (!ok_) return;
-  payloads_.push_back(payload);
-  seen_indices_.push_back(record.index);
+  std::string payload = EncodeTaskPayload(record);
+  if (!log_.Append(payload)) return;
+  payloads_.push_back(std::move(payload));
+  seen_indices_.insert(record.index);
   ++appends_;
-  if (options_.compact_every > 0 && appends_ % options_.compact_every == 0) {
-    Compact();
-  }
-  if (options_.after_append) options_.after_append(appends_);
-}
-
-void JournalWriter::WriteFrame(const std::string& payload) {
-  io::IoStatus st = io::WriteAll(*vfs_, fd_, FramePayload(payload));
-  if (st.ok() && options_.sync_every_append) {
-    st = io::FsyncRetry(*vfs_, fd_);
-  }
-  if (!st.ok()) Degrade(st, "journal append failed");
-}
-
-void JournalWriter::Compact() {
-  // Rewrite the whole journal (header + deduped records) via the atomic
-  // temp+fsync+rename helper, then reopen for appending. A crash anywhere
-  // in here leaves either the old journal (still valid, maybe with
-  // duplicates) or the compacted one — never a torn file at path_. The same
-  // holds for an I/O *failure* (ENOSPC mid-rewrite): WriteFileAtomic leaves
-  // the destination untouched, so the old journal stays valid and appends
-  // simply continue after it.
-  std::string contents = FramePayload(EncodeHeaderPayload(header_));
-  for (const std::string& payload : payloads_) {
-    contents.append(FramePayload(payload));
-  }
-  vfs_->Close(fd_);
-  fd_ = -1;
-  const io::IoStatus write_st = util::WriteFileAtomic(path_, contents, vfs_);
-  if (!write_st.ok()) {
-    std::fprintf(stderr,
-                 "wolt: journal %s: compaction failed (%s); keeping the "
-                 "uncompacted journal\n",
-                 path_.c_str(), write_st.Message().c_str());
+  if (options_.compact_every > 0 && appends_ % options_.compact_every == 0 &&
+      !log_.Rewrite(EncodeHeaderPayload(header_), payloads_)) {
     if (obs::MetricsScope* s = obs::CurrentScope()) {
       s->recover.journal_compact_failed.Add(1);
     }
   }
-  io::IoStatus open_st;
-  fd_ = vfs_->OpenWrite(path_, io::Vfs::OpenMode::kAppend, &open_st);
-  if (fd_ < 0) Degrade(open_st, "cannot reopen journal after compaction");
+  if (options_.after_append) options_.after_append(appends_);
 }
 
 void JournalWriter::Close() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return;
-  io::IoStatus st = io::FsyncRetry(*vfs_, fd_);
-  const io::IoStatus close_st = vfs_->Close(fd_);
-  if (st.ok()) st = close_st;
-  fd_ = -1;
-  if (!st.ok()) Degrade(st, "journal close failed");
-}
-
-void JournalWriter::Degrade(const io::IoStatus& status, const char* what) {
-  if (fd_ >= 0) {
-    vfs_->Close(fd_);
-    fd_ = -1;
-  }
-  ok_ = false;
-  if (degraded_) return;
-  degraded_ = true;
-  std::fprintf(stderr,
-               "wolt: journal %s: %s (%s) — journaling disabled, the run "
-               "continues best-effort (no crash resume past this point)\n",
-               path_.c_str(), what, status.Message().c_str());
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    s->recover.journal_io_error.Add(1);
-    s->recover.journal_degraded.Add(1);
-  }
+  log_.Close();
 }
 
 }  // namespace wolt::recover

@@ -2,25 +2,14 @@
 // lets a sweep killed at any instant (including kill -9 mid-record) resume
 // and produce byte-identical output to an uninterrupted run.
 //
-// File layout: a header record followed by one record per completed task,
-// all framed identically:
+// The WJL1 payload schema on the framed record log (recover/log.h, which
+// also gives the crash semantics): a header record followed by one record
+// per completed task. Doubles are serialized as their raw 8 bytes (bit-exact
+// round trip — the resume path must reproduce the uninterrupted run's merge
+// inputs exactly). The header payload carries a format version, the grid
+// fingerprint (sweep::Fingerprint) and the task count, so a journal can
+// never be resumed against a different sweep.
 //
-//   [u32 magic][u32 payload_len][u64 fnv1a(payload)][payload bytes]
-//
-// Doubles are serialized as their raw 8 bytes (bit-exact round trip — the
-// resume path must reproduce the uninterrupted run's merge inputs exactly).
-// The header payload carries a format version, the grid fingerprint
-// (sweep::Fingerprint) and the task count, so a journal can never be
-// resumed against a different sweep.
-//
-// Crash semantics:
-//  * Appends are fflush'd per record: a process kill (the page cache
-//    survives) loses at most the record being written. Power loss can lose
-//    more; compaction and Close() fsync.
-//  * The reader validates records front to back; the first bad frame (bad
-//    magic, truncated length, checksum mismatch, unparsable payload) ends
-//    the valid prefix, and everything after it is reported as torn bytes.
-//    Resume truncates the file back to the valid prefix before appending.
 //  * Duplicate task indices (possible when a crash lands between "task
 //    re-run" and "journal truncated") dedupe first-record-wins.
 //  * Every `compact_every` appends the journal is rewritten without
@@ -30,13 +19,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "io/vfs.h"
 #include "obs/metrics.h"
+#include "recover/log.h"
 
 namespace wolt::recover {
 
@@ -44,9 +34,6 @@ inline constexpr std::uint32_t kJournalMagic = 0x574A4C31;  // "WJL1"
 // Version 2 added the dynamic-workload frontier columns (oracle, regret,
 // reassociation rate, quarantine trips) to TaskRecord.
 inline constexpr std::uint32_t kJournalVersion = 2;
-
-// FNV-1a 64-bit over a byte string (the per-record checksum).
-std::uint64_t Fnv1a64(const char* data, std::size_t size);
 
 struct JournalHeader {
   std::uint64_t fingerprint = 0;  // sweep::Fingerprint of the grid
@@ -71,28 +58,16 @@ struct TaskRecord {
   obs::MetricsSnapshot metrics;
 };
 
-struct JournalReadResult {
-  bool ok = false;      // file opened and the header record validated
-  std::string error;    // why ok is false
+// The scan outcome (see LogScan) plus the decoded journal.
+struct JournalReadResult : LogScan {
   JournalHeader header;
   // Deduplicated task records (first record for an index wins), in file
   // order of first appearance.
   std::vector<TaskRecord> records;
-  std::uint64_t valid_bytes = 0;  // length of the validated prefix
-  std::uint64_t torn_bytes = 0;   // bytes past the prefix (discarded)
   std::size_t duplicates = 0;     // duplicate task records dropped
-  // Why the valid prefix ended (both false when the file parsed cleanly):
-  // a torn tail is an incomplete final frame (crash mid-append, expected);
-  // a rotted tail is a complete-looking frame whose magic/checksum/payload
-  // is wrong (medium corruption). Counted on recover.journal.torn_tail /
-  // recover.journal.rot_truncated when a metrics scope is installed.
-  bool tail_torn = false;
-  bool tail_rot = false;
 };
 
-// Validates `path` front to back. Never throws; failures land in `error`.
-// Replay never aborts on damage: a corrupt tail is classified (torn vs rot)
-// and truncated back to the last good checksum frame.
+// Scans `path` (see ScanLog). Never throws; failures land in `error`.
 JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs = nullptr);
 
 class JournalWriter {
@@ -101,15 +76,17 @@ class JournalWriter {
     // Rewrite the journal (dedup + fsync + rename) every this many appends;
     // 0 disables compaction.
     std::size_t compact_every = 64;
-    // Test hook, called after each append has been flushed, with the count
-    // of appends made through this writer. The crash harness raises
-    // SIGKILL in here to die at an exact journal position.
+    // Test hook, called after each task record has been written (and after
+    // any compaction it triggered), with the count of task records appended
+    // through this writer. The header is not counted, and a duplicate is
+    // neither written nor counted. The crash harness raises SIGKILL in here
+    // to die at an exact journal position.
     std::function<void(std::size_t)> after_append;
     // Storage backend; nullptr = the real filesystem.
     io::Vfs* vfs = nullptr;
-    // fsync after every append. Default off: per-record fflush-to-kernel
-    // survives a process kill, and compaction/Close() fsync. The crash
-    // harness turns this on so every append is a distinct durable point.
+    // fsync after every append. Default off (see the crash semantics in
+    // recover/log.h); the crash harness turns it on so that every append is
+    // a distinct durable point.
     bool sync_every_append = false;
   };
 
@@ -122,20 +99,11 @@ class JournalWriter {
   JournalWriter(const std::string& path, const JournalReadResult& existing,
                 Options options);
 
-  ~JournalWriter();
-
-  JournalWriter(const JournalWriter&) = delete;
-  JournalWriter& operator=(const JournalWriter&) = delete;
-
-  // Journaling is active. When false the writer is a no-op; the run itself
-  // keeps going (best-effort mode) — losing the journal must never take the
-  // sweep down with it.
-  bool ok() const { return ok_; }
-
-  // The writer gave up on journaling after an I/O failure (open, append,
-  // truncate or reopen-after-compaction). Flipping to degraded emits one
-  // loud stderr warning and bumps recover.journal.{io_error,degraded}.
-  bool degraded() const { return degraded_; }
+  // Journaling is active (see LogWriter::ok()). When false the writer is a
+  // no-op; the run itself keeps going (best-effort mode) — losing the
+  // journal must never take the sweep down with it.
+  bool ok() const { return log_.ok(); }
+  bool degraded() const { return log_.degraded(); }
 
   // Thread-safe: serialize, frame, write. Safe to call from the sweep
   // engine's worker threads. An I/O failure degrades the writer instead of
@@ -146,22 +114,14 @@ class JournalWriter {
   void Close();
 
  private:
-  void WriteFrame(const std::string& payload);
-  void Compact();
-  void Degrade(const io::IoStatus& status, const char* what);
-
-  std::string path_;
   JournalHeader header_;
   Options options_;
-  io::Vfs* vfs_ = nullptr;
+  LogWriter log_;
   std::mutex mu_;
-  int fd_ = -1;
-  bool ok_ = false;
-  bool degraded_ = false;
   std::size_t appends_ = 0;
   // Every unique record payload written (or restored), for compaction.
   std::vector<std::string> payloads_;
-  std::vector<std::uint64_t> seen_indices_;
+  std::unordered_set<std::uint64_t> seen_indices_;
 };
 
 // Payload codecs, exposed for the torn-tail/corruption unit tests.
