@@ -125,6 +125,19 @@ bool AllNonNegative(const std::vector<double>& xs) {
   return std::all_of(xs.begin(), xs.end(), [](double x) { return x >= 0.0; });
 }
 
+// Counts the rung that served one reoptimization epoch (ctrl.reopt.tier.*).
+void CountServedTier(ReoptTier tier) {
+  obs::MetricsScope* s = obs::CurrentScope();
+  if (s == nullptr) return;
+  switch (tier) {
+    case ReoptTier::kFull: s->ctrl.reopt_tier_full.Add(1); break;
+    case ReoptTier::kHungarianOnly: s->ctrl.reopt_tier_hungarian.Add(1); break;
+    case ReoptTier::kGreedy: s->ctrl.reopt_tier_greedy.Add(1); break;
+    case ReoptTier::kHoldLastGood: s->ctrl.reopt_tier_hold.Add(1); break;
+    case ReoptTier::kJoint: s->ctrl.reopt_tier_joint.Add(1); break;
+  }
+}
+
 }  // namespace
 
 const char* ToString(HandleStatus s) {
@@ -481,6 +494,20 @@ std::vector<AssociationDirective> CentralController::DiffAndRegister(
   return directives;
 }
 
+bool CentralController::GuardTrips(const model::Assignment& candidate,
+                                   const std::vector<int>& plan,
+                                   const model::Assignment& baseline) const {
+  const model::Evaluator candidate_eval(PlanEval(plan));
+  const model::Evaluator base_eval(PlanEval(channel_plan_));
+  const bool trips =
+      candidate_eval.AggregateThroughput(net_, candidate) + 1e-9 <
+      base_eval.AggregateThroughput(net_, baseline);
+  if (obs::MetricsScope* s = obs::CurrentScope(); s && trips) {
+    s->ctrl.reopt_guard_trips.Add(1);
+  }
+  return trips;
+}
+
 std::vector<AssociationDirective> CentralController::RunPolicy(bool guard) {
   if (obs::MetricsScope* s = obs::CurrentScope()) {
     s->ctrl.policy_runs.Add(1);
@@ -498,13 +525,8 @@ std::vector<AssociationDirective> CentralController::RunPolicy(bool guard) {
     model::Assignment fallback = EvacuationFallback();
     // Both sides score under the committed channel plan (plan-free until a
     // kJoint epoch has been adopted).
-    const model::Evaluator eval(PlanEval(channel_plan_));
-    if (eval.AggregateThroughput(net_, proposed) + 1e-9 <
-        eval.AggregateThroughput(net_, fallback)) {
+    if (GuardTrips(proposed, channel_plan_, fallback)) {
       proposed = std::move(fallback);
-      if (obs::MetricsScope* s = obs::CurrentScope()) {
-        s->ctrl.reopt_guard_trips.Add(1);
-      }
     }
   }
   return DiffAndRegister(before, std::move(proposed));
@@ -743,29 +765,15 @@ ReoptReport CentralController::Reoptimize(double budget_seconds) {
   // hold-last-good baseline. The candidate scores under the plan it would
   // commit, the baseline under the plan already committed (plan-free when
   // joint mode never adopted — identical to the pre-joint behaviour).
-  const model::Evaluator chosen_eval(PlanEval(chosen_plan));
-  const model::Evaluator base_eval(PlanEval(channel_plan_));
-  if (chosen_eval.AggregateThroughput(net_, chosen) + 1e-9 <
-      base_eval.AggregateThroughput(net_, evacuate)) {
+  if (GuardTrips(chosen, chosen_plan, evacuate)) {
     chosen = evacuate;
     chosen_plan = channel_plan_;
     report.tier = ReoptTier::kHoldLastGood;
-    if (obs::MetricsScope* s = obs::CurrentScope()) {
-      s->ctrl.reopt_guard_trips.Add(1);
-    }
   }
 
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    switch (report.tier) {
-      case ReoptTier::kFull: s->ctrl.reopt_tier_full.Add(1); break;
-      case ReoptTier::kHungarianOnly:
-        s->ctrl.reopt_tier_hungarian.Add(1);
-        break;
-      case ReoptTier::kGreedy: s->ctrl.reopt_tier_greedy.Add(1); break;
-      case ReoptTier::kHoldLastGood: s->ctrl.reopt_tier_hold.Add(1); break;
-      case ReoptTier::kJoint: s->ctrl.reopt_tier_joint.Add(1); break;
-    }
-    if (no_tier_fit) s->ctrl.reopt_budget_overruns.Add(1);
+  CountServedTier(report.tier);
+  if (obs::MetricsScope* s = obs::CurrentScope(); s && no_tier_fit) {
+    s->ctrl.reopt_budget_overruns.Add(1);
   }
 
   channel_plan_ = std::move(chosen_plan);
@@ -811,17 +819,7 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
       TierCost(top) <
       TierCost(joint_enabled ? ReoptTier::kJoint : ReoptTier::kFull);
 
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    switch (report.tier) {
-      case ReoptTier::kFull: s->ctrl.reopt_tier_full.Add(1); break;
-      case ReoptTier::kHungarianOnly:
-        s->ctrl.reopt_tier_hungarian.Add(1);
-        break;
-      case ReoptTier::kGreedy: s->ctrl.reopt_tier_greedy.Add(1); break;
-      case ReoptTier::kHoldLastGood: s->ctrl.reopt_tier_hold.Add(1); break;
-      case ReoptTier::kJoint: s->ctrl.reopt_tier_joint.Add(1); break;
-    }
-  }
+  CountServedTier(report.tier);
 
   channel_plan_ = std::move(chosen_plan);
   report.directives = DiffAndRegister(before, std::move(chosen));
@@ -842,31 +840,15 @@ ReoptReport CentralController::ReoptimizeAtTier(ReoptTier tier) {
                                                              : channel_plan_;
 
   // Same do-no-harm contract as the budgeted ladder.
-  const model::Evaluator chosen_eval(PlanEval(chosen_plan));
-  const model::Evaluator base_eval(PlanEval(channel_plan_));
-  if (chosen_eval.AggregateThroughput(net_, chosen) + 1e-9 <
-      base_eval.AggregateThroughput(net_, evacuate)) {
+  if (GuardTrips(chosen, chosen_plan, evacuate)) {
     chosen = evacuate;
     chosen_plan = channel_plan_;
     report.tier = ReoptTier::kHoldLastGood;
-    if (obs::MetricsScope* s = obs::CurrentScope()) {
-      s->ctrl.reopt_guard_trips.Add(1);
-    }
   }
   report.budget_limited = report.tier != ReoptTier::kFull &&
                           report.tier != ReoptTier::kJoint;
 
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    switch (report.tier) {
-      case ReoptTier::kFull: s->ctrl.reopt_tier_full.Add(1); break;
-      case ReoptTier::kHungarianOnly:
-        s->ctrl.reopt_tier_hungarian.Add(1);
-        break;
-      case ReoptTier::kGreedy: s->ctrl.reopt_tier_greedy.Add(1); break;
-      case ReoptTier::kHoldLastGood: s->ctrl.reopt_tier_hold.Add(1); break;
-      case ReoptTier::kJoint: s->ctrl.reopt_tier_joint.Add(1); break;
-    }
-  }
+  CountServedTier(report.tier);
 
   channel_plan_ = std::move(chosen_plan);
   report.directives = DiffAndRegister(before, std::move(chosen));

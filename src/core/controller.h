@@ -390,6 +390,13 @@ class CentralController {
   // Scoring options under a channel plan: default EvalOptions with `plan`
   // installed as wifi_channel (empty plan = the plan-free physical model).
   model::EvalOptions PlanEval(const std::vector<int>& plan) const;
+  // Do-no-harm check: true, counting ctrl.reopt.guard_trips, when
+  // `candidate` scored under `plan` falls below the hold-last-good
+  // `baseline` scored under the committed plan; the caller then deploys
+  // the baseline instead.
+  bool GuardTrips(const model::Assignment& candidate,
+                  const std::vector<int>& plan,
+                  const model::Assignment& baseline) const;
   // guard=true (epoch reoptimization) arms the do-no-harm fallback check.
   std::vector<AssociationDirective> RunPolicy(bool guard = false);
   void RegisterDirective(const AssociationDirective& d);
