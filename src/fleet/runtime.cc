@@ -411,18 +411,12 @@ void FleetRuntime::RunRound(std::uint64_t round, util::ThreadPool& pool,
                 });
       std::size_t units = params_.reopt_units_per_round;
       for (std::size_t s : candidates) {
-        core::ReoptTier tier;
-        if (units >= 4) {
-          tier = core::ReoptTier::kFull;
-        } else if (units >= 3) {
-          tier = core::ReoptTier::kHungarianOnly;
-        } else if (units >= 2) {
-          tier = core::ReoptTier::kGreedy;
-        } else if (units >= 1) {
-          tier = core::ReoptTier::kHoldLastGood;
-        } else {
-          break;  // budget exhausted: remaining shards wait, growing staler
-        }
+        // Budget exhausted: remaining shards wait, growing staler.
+        if (units == 0) break;
+        // The best rung the remaining units buy; the clamp only keeps the
+        // int argument in range, since no rung costs more than kJoint.
+        const core::ReoptTier tier = core::TierForBudgetUnits(static_cast<int>(
+            std::min(units, TierCost(core::ReoptTier::kJoint))));
         units -= TierCost(tier);
         scratch[s].scheduled = true;
         scratch[s].tier = tier;
