@@ -4,9 +4,9 @@
 # to ASan), storage-fault smokes (exhaustive crash-point harness in the
 # default and ASan builds, randomized crash points under TSan), a parallel-
 # determinism smoke (a 4-thread sweep must emit byte-identical CSV to a
-# 1-thread sweep), a chaos smoke, and two perf gates (obs hooks <= 5%, Vfs
-# storage seam <= 1%). Run from anywhere; everything happens at the repo
-# root.
+# 1-thread sweep), a chaos smoke, the repository benchmark's output checks
+# (perfbench/), and two perf gates (obs hooks <= 5%, Vfs storage seam <=
+# 1%). Run from anywhere; everything happens at the repo root.
 #
 #   scripts/ci.sh               the full gate above
 #   scripts/ci.sh --coverage    observability coverage gate instead: gcov
@@ -226,6 +226,23 @@ rm -f /tmp/wolt_fleet.wal /tmp/wolt_fleet.txt /tmp/wolt_fleet_golden.txt
 
 echo "==> chaos smoke: 10-seed soak with invariant gate (4 threads)"
 ./build/bench/bench_chaos_soak 10 4
+
+echo "==> benchmark output checks: perfbench selftest + every workload"
+# perfbench/run.py builds the repository benchmark (Release, out of tree)
+# and exits non-zero when any of a workload's output checks fails: directive
+# digests, fleet invariants, journal replay, and reports byte-identical
+# across thread counts. Each workload runs twice because the two modes
+# check different things: --trace 0 is the only mode that runs the fleet's
+# "round boundaries seen in every segment" check (round ends are read off
+# the journal's after_append count), and --trace 1 runs the re-drive
+# byte-identity checks.
+python3 perfbench/run.py --selftest
+for workload in building fleet-chaos sweep-frontier; do
+  for trace in 0 1; do
+    python3 perfbench/run.py --workload "${workload}" --seconds 2 \
+        --trace "${trace}" >/dev/null
+  done
+done
 
 echo "==> perf smoke: obs overhead (hooks enabled <= 5% over disabled)"
 # BM_WoltAssociateObs runs the identical WOLT solve with (/1) and without

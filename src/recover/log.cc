@@ -125,7 +125,8 @@ void LogWriter::Reopen(std::uint64_t keep) {
 
 bool LogWriter::Append(const std::string& payload) {
   if (fd_ < 0) return false;
-  io::IoStatus st = io::WriteAll(*vfs_, fd_, FrameRecord(format_.magic, payload));
+  io::IoStatus st =
+      io::WriteAll(*vfs_, fd_, FrameRecord(format_.magic, payload));
   if (st.ok() && sync_every_append_) st = io::FsyncRetry(*vfs_, fd_);
   if (!st.ok()) {
     Degrade(st, "append failed");
