@@ -106,8 +106,7 @@ class JournalWriter {
   bool degraded() const { return log_.degraded(); }
 
   // Thread-safe: serialize, frame, write. Safe to call from the sweep
-  // engine's worker threads. An I/O failure degrades the writer instead of
-  // corrupting the journal: the file keeps its valid prefix.
+  // engine's worker threads; an I/O failure degrades the writer.
   void Append(const TaskRecord& record);
 
   // fsync + close. Called by the destructor if not called explicitly.
