@@ -23,9 +23,8 @@ constexpr std::uint8_t kKindSnapshot = 4;
 constexpr LogFormat kFormat{kFleetJournalMagic, "fleet journal",
                            &obs::RecoverCounters::fleet};
 
-bool DecodeShardRoundPayload(const std::string& payload,
-                             ShardRoundRecord* out) {
-  Cursor cur(payload);
+bool DecodeShardRoundPayload(std::string_view payload, ShardRoundRecord* out) {
+  Cursor cur(payload.data(), payload.size());
   if (cur.U8() != kKindShardRound) return false;
   out->round = cur.U64();
   out->shard = cur.U32();
@@ -48,9 +47,8 @@ bool DecodeShardRoundPayload(const std::string& payload,
   return cur.AtEnd();
 }
 
-bool DecodeFleetRoundPayload(const std::string& payload,
-                             FleetRoundRecord* out) {
-  Cursor cur(payload);
+bool DecodeFleetRoundPayload(std::string_view payload, FleetRoundRecord* out) {
+  Cursor cur(payload.data(), payload.size());
   if (cur.U8() != kKindFleetRound) return false;
   out->round = cur.U64();
   out->enqueued = cur.U64();
@@ -63,9 +61,9 @@ bool DecodeFleetRoundPayload(const std::string& payload,
   return cur.AtEnd();
 }
 
-bool DecodeSnapshotPayload(const std::string& payload, std::uint64_t* round,
+bool DecodeSnapshotPayload(std::string_view payload, std::uint64_t* round,
                            std::string* blob) {
-  Cursor cur(payload);
+  Cursor cur(payload.data(), payload.size());
   if (cur.U8() != kKindSnapshot) return false;
   *round = cur.U64();
   *blob = cur.String();
@@ -82,9 +80,9 @@ std::string EncodeFleetHeaderPayload(const FleetJournalHeader& header) {
   return out;
 }
 
-bool DecodeFleetHeaderPayload(const std::string& payload,
+bool DecodeFleetHeaderPayload(std::string_view payload,
                               FleetJournalHeader* out) {
-  Cursor cur(payload);
+  Cursor cur(payload.data(), payload.size());
   if (cur.U8() != kKindHeader) return false;
   if (cur.U32() != kFleetJournalVersion) return false;
   out->fingerprint = cur.U64();
@@ -155,12 +153,12 @@ FleetJournalReadResult ReadFleetJournal(const std::string& path,
 
   ScanLog(
       path, kFormat, vfs,
-      [&](const std::string& payload, std::uint64_t frame_end) {
+      [&](std::string_view payload, std::uint64_t frame_end) {
         if (!DecodeFleetHeaderPayload(payload, &out.header)) return false;
         out.header_bytes = frame_end;
         return true;
       },
-      [&](const std::string& payload, std::uint64_t frame_end) {
+      [&](std::string_view payload, std::uint64_t frame_end) {
         // Each decoder checks the record kind first, so a payload that
         // none accepts (bad kind or bad body) is corruption.
         ShardRoundRecord shard;

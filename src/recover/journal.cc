@@ -93,7 +93,7 @@ std::string EncodeHeaderPayload(const JournalHeader& header) {
   return out;
 }
 
-bool DecodeHeaderPayload(const std::string& payload, JournalHeader* out) {
+bool DecodeHeaderPayload(std::string_view payload, JournalHeader* out) {
   Cursor cur(payload.data(), payload.size());
   if (cur.U8() != kKindHeader) return false;
   if (cur.U32() != kJournalVersion) return false;
@@ -120,7 +120,7 @@ std::string EncodeTaskPayload(const TaskRecord& record) {
   return out;
 }
 
-bool DecodeTaskPayload(const std::string& payload, TaskRecord* out) {
+bool DecodeTaskPayload(std::string_view payload, TaskRecord* out) {
   Cursor cur(payload.data(), payload.size());
   if (cur.U8() != kKindTask) return false;
   out->index = cur.U64();
@@ -147,10 +147,10 @@ JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs) {
   std::unordered_set<std::uint64_t> seen;
   ScanLog(
       path, kFormat, vfs,
-      [&](const std::string& payload, std::uint64_t) {
+      [&](std::string_view payload, std::uint64_t) {
         return DecodeHeaderPayload(payload, &out.header);
       },
-      [&](const std::string& payload, std::uint64_t) {
+      [&](std::string_view payload, std::uint64_t) {
         TaskRecord rec;
         if (!DecodeTaskPayload(payload, &rec)) return false;
         if (!seen.insert(rec.index).second) {

@@ -21,6 +21,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -126,8 +127,8 @@ class JournalWriter {
 // Payload codecs, exposed for the torn-tail/corruption unit tests.
 std::string EncodeHeaderPayload(const JournalHeader& header);
 std::string EncodeTaskPayload(const TaskRecord& record);
-bool DecodeHeaderPayload(const std::string& payload, JournalHeader* out);
-bool DecodeTaskPayload(const std::string& payload, TaskRecord* out);
+bool DecodeHeaderPayload(std::string_view payload, JournalHeader* out);
+bool DecodeTaskPayload(std::string_view payload, TaskRecord* out);
 // Frames a payload as it appears on disk (magic + length + checksum).
 std::string FramePayload(const std::string& payload);
 

@@ -61,7 +61,7 @@ void ScanLog(const std::string& path, const LogFormat& format, io::Vfs* vfs,
     if (torn) break;
     const char* payload_data = bytes.data() + pos + kFrameHeader;
     if (Fnv1a64(payload_data, len) != checksum) break;
-    const std::string payload(payload_data, len);
+    const std::string_view payload(payload_data, len);
     const std::size_t frame_end = pos + kFrameHeader + len;
     // A payload that does not decode passed its checksum: garbage. If it
     // is the first frame, which must be the header, this is not a log of

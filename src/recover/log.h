@@ -57,9 +57,10 @@ struct LogScan {
 };
 
 // Decodes one checksum-valid payload whose frame ends at `frame_end`;
-// returns false when the payload does not decode.
+// returns false when the payload does not decode. `payload` views the
+// scanned bytes and is valid only during the call.
 using FrameVisitor =
-    std::function<bool(const std::string& payload, std::uint64_t frame_end)>;
+    std::function<bool(std::string_view payload, std::uint64_t frame_end)>;
 
 // Validates `path` front to back into `out`; never throws. The first frame
 // goes to `header`; if it is rejected, or no frame is valid, the scan fails.
