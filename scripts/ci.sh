@@ -2,9 +2,10 @@
 # CI gate: tier-1 build + tests, the full suite under ASan/UBSan, the full
 # suite under TSan (the sweep engine's thread pool races would be invisible
 # to ASan), storage-fault smokes (exhaustive crash-point harness in the
-# default and ASan builds, randomized crash points under TSan), a parallel-
-# determinism smoke (a 4-thread sweep must emit byte-identical CSV to a
-# 1-thread sweep), a chaos smoke, the repository benchmark's output checks
+# default and ASan builds, randomized crash points under TSan), the
+# fig6a_cdf.csv golden, a parallel-determinism smoke (a 4-thread sweep must
+# emit byte-identical CSV to a 1-thread sweep), a chaos smoke checked against
+# its committed table, the repository benchmark's output checks
 # (perfbench/), and two perf gates (obs hooks <= 5%, Vfs storage seam <=
 # 1%). Run from anywhere; everything happens at the repo root.
 #
@@ -152,6 +153,16 @@ echo "==> tsan: 20-seed trace-determinism pass (workload generator)"
 ./build-tsan/tests/workload_property_test \
     --gtest_filter='WorkloadPropertyTest.TraceDeterminismTwentySeeds'
 
+echo "==> golden: fig6a_cdf.csv regenerated by build/ == the committed copy"
+# The committed file was written by this default-preset build; another
+# optimization level may contract floating point differently, so compare
+# like with like.
+fig_dir="$(mktemp -d)"
+./build/bench/bench_fig6a_throughput_cdf --csv="${fig_dir}/fig6a_cdf.csv" \
+    >/dev/null
+cmp "${fig_dir}/fig6a_cdf.csv" fig6a_cdf.csv
+rm -rf "${fig_dir}"
+
 echo "==> determinism smoke: 4-thread sweep CSV == 1-thread sweep CSV"
 ./build/bench/bench_fig6a_throughput_cdf --trials=20 --threads=1 \
     --csv=/tmp/wolt_sweep_t1.csv >/dev/null
@@ -225,7 +236,12 @@ cmp /tmp/wolt_fleet.txt /tmp/wolt_fleet_golden.txt
 rm -f /tmp/wolt_fleet.wal /tmp/wolt_fleet.txt /tmp/wolt_fleet_golden.txt
 
 echo "==> chaos smoke: 10-seed soak with invariant gate (4 threads)"
-./build/bench/bench_chaos_soak 10 4
+# The table carries no timings and is the same at any thread count, so it
+# must also match the committed copy byte for byte: it pins the outcome of
+# every Reoptimize() the chaos scenarios run.
+./build/bench/bench_chaos_soak 10 4 | tee /tmp/wolt_chaos_soak.txt
+cmp /tmp/wolt_chaos_soak.txt tests/data/chaos_soak/ten_seeds.txt
+rm -f /tmp/wolt_chaos_soak.txt
 
 echo "==> benchmark output checks: perfbench selftest + every workload"
 # perfbench/run.py builds the repository benchmark (Release, out of tree)
