@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "assign/joint.h"
 #include "core/greedy.h"
 #include "core/wolt.h"
 #include "obs/obs.h"
@@ -134,8 +133,16 @@ void CountServedTier(ReoptTier tier) {
     case ReoptTier::kHungarianOnly: s->ctrl.reopt_tier_hungarian.Add(1); break;
     case ReoptTier::kGreedy: s->ctrl.reopt_tier_greedy.Add(1); break;
     case ReoptTier::kHoldLastGood: s->ctrl.reopt_tier_hold.Add(1); break;
-    case ReoptTier::kJoint: s->ctrl.reopt_tier_joint.Add(1); break;
   }
+}
+
+// The kHungarianOnly rung: WOLT Phase I + sticky greedy Phase II without
+// the local-search polish — the polynomial core of the paper's algorithm.
+PolicyPtr MakeHungarianOnlyPolicy() {
+  WoltOptions wopt;
+  wopt.local_search = false;
+  wopt.sticky = true;
+  return std::make_unique<WoltPolicy>(wopt);
 }
 
 }  // namespace
@@ -183,15 +190,12 @@ const char* ToString(ReoptTier t) {
     case ReoptTier::kHungarianOnly: return "hungarian-only";
     case ReoptTier::kGreedy: return "greedy";
     case ReoptTier::kHoldLastGood: return "hold-last-good";
-    case ReoptTier::kJoint: return "joint";
   }
   return "?";
 }
 
 std::size_t TierCost(ReoptTier tier) {
   switch (tier) {
-    case ReoptTier::kJoint:
-      return 5;
     case ReoptTier::kFull:
       return 4;
     case ReoptTier::kHungarianOnly:
@@ -204,14 +208,9 @@ std::size_t TierCost(ReoptTier tier) {
   return 1;
 }
 
-ReoptTier TierForBudgetUnits(int units, bool joint_enabled) {
-  if (units <= 0) {
-    return joint_enabled ? ReoptTier::kJoint : ReoptTier::kFull;
-  }
+ReoptTier TierForBudgetUnits(int units) {
+  if (units <= 0) return ReoptTier::kFull;
   const auto u = static_cast<std::size_t>(units);
-  if (joint_enabled && u >= TierCost(ReoptTier::kJoint)) {
-    return ReoptTier::kJoint;
-  }
   if (u >= TierCost(ReoptTier::kFull)) return ReoptTier::kFull;
   if (u >= TierCost(ReoptTier::kHungarianOnly)) {
     return ReoptTier::kHungarianOnly;
@@ -339,6 +338,8 @@ CentralController::CentralController(std::size_t num_extenders,
                                      QuarantineParams quarantine)
     : net_(0, num_extenders),
       policy_(std::move(policy)),
+      greedy_(std::make_unique<GreedyPolicy>()),
+      hungarian_only_(MakeHungarianOnlyPolicy()),
       retry_(retry),
       quarantine_(quarantine),
       last_capacity_(num_extenders, -kInf),
@@ -495,41 +496,29 @@ std::vector<AssociationDirective> CentralController::DiffAndRegister(
 }
 
 bool CentralController::GuardTrips(const model::Assignment& candidate,
-                                   const std::vector<int>& plan,
                                    const model::Assignment& baseline) const {
-  const model::Evaluator candidate_eval(PlanEval(plan));
-  const model::Evaluator base_eval(PlanEval(channel_plan_));
-  const bool trips =
-      candidate_eval.AggregateThroughput(net_, candidate) + 1e-9 <
-      base_eval.AggregateThroughput(net_, baseline);
+  // Policies plan under their own sharing model, which can diverge from the
+  // physical evaluator. Never deploy a reoptimization that scores below the
+  // trivial fallback of keeping everyone in place and evacuating users
+  // whose extender backhaul reports zero capacity.
+  const model::Evaluator eval;
+  const bool trips = eval.AggregateThroughput(net_, candidate) + 1e-9 <
+                     eval.AggregateThroughput(net_, baseline);
   if (obs::MetricsScope* s = obs::CurrentScope(); s && trips) {
     s->ctrl.reopt_guard_trips.Add(1);
   }
   return trips;
 }
 
-std::vector<AssociationDirective> CentralController::RunPolicy(bool guard) {
+std::vector<AssociationDirective> CentralController::RunPolicy() {
   if (obs::MetricsScope* s = obs::CurrentScope()) {
     s->ctrl.policy_runs.Add(1);
   }
+  // No do-no-harm guard here, unlike the reoptimization epochs: admitting a
+  // weak user legitimately lowers a max-min aggregate, and vetoing that
+  // would strand the user forever.
   const model::Assignment before = assignment_;
-  model::Assignment proposed = policy_->Associate(net_, before);
-  // Do-no-harm guard (epoch reoptimization only): policies plan under their
-  // own sharing model, which can diverge from the physical evaluator. Never
-  // deploy a reoptimization that scores below the trivial fallback of
-  // keeping everyone in place and evacuating users whose extender backhaul
-  // reports zero capacity. Arrival/scan-triggered runs stay unguarded:
-  // admitting a weak user legitimately lowers a max-min aggregate, and
-  // vetoing that would strand the user forever.
-  if (guard) {
-    model::Assignment fallback = EvacuationFallback();
-    // Both sides score under the committed channel plan (plan-free until a
-    // kJoint epoch has been adopted).
-    if (GuardTrips(proposed, channel_plan_, fallback)) {
-      proposed = std::move(fallback);
-    }
-  }
-  return DiffAndRegister(before, std::move(proposed));
+  return DiffAndRegister(before, policy_->Associate(net_, before));
 }
 
 HandleResult CentralController::HandleUserArrival(const ScanReport& report) {
@@ -650,77 +639,27 @@ HandleStatus CentralController::HandleDirectiveAck(const DirectiveAck& ack) {
 }
 
 std::vector<AssociationDirective> CentralController::Reoptimize() {
-  return RunPolicy(/*guard=*/true);
+  return ReoptimizeAtTier(ReoptTier::kFull).directives;
 }
 
 model::Assignment CentralController::SolveTier(
     ReoptTier tier, const util::Deadline* deadline,
     const model::Assignment& before, const model::Assignment& evacuate) {
+  AssociationPolicy* solver = nullptr;
   switch (tier) {
-    case ReoptTier::kHoldLastGood:
-      return evacuate;
-    case ReoptTier::kGreedy: {
-      // Greedy: re-place only the evacuated users, everyone else holds.
-      GreedyPolicy greedy;
-      greedy.SetDeadline(deadline);
-      return greedy.Associate(net_, evacuate);
-    }
-    case ReoptTier::kHungarianOnly: {
-      // WOLT Phase I + sticky greedy Phase II without the local-search
-      // polish — the polynomial core of the paper's algorithm.
-      WoltOptions wopt;
-      wopt.local_search = false;
-      wopt.sticky = true;
-      WoltPolicy hungarian_only(wopt);
-      hungarian_only.SetDeadline(deadline);
-      return hungarian_only.Associate(net_, before);
-    }
-    case ReoptTier::kFull: {
-      // The configured policy, exactly what Reoptimize() would run.
-      policy_->SetDeadline(deadline);
-      model::Assignment proposed = policy_->Associate(net_, before);
-      policy_->SetDeadline(nullptr);  // the token dies with this frame
-      return proposed;
-    }
-    case ReoptTier::kJoint: {
-      // Joint re-association + channel recolouring (assign/joint). The
-      // proposed plan rides in proposed_plan_; the caller commits it to
-      // channel_plan_ only if this rung is adopted. With joint mode off the
-      // plan axis does not exist, so the rung degenerates to kFull.
-      if (joint_.num_channels <= 0) {
-        return SolveTier(ReoptTier::kFull, deadline, before, evacuate);
-      }
-      assign::JointOptions jopt;
-      jopt.num_channels = joint_.num_channels;
-      jopt.carrier_sense_range_m = joint_.carrier_sense_range_m;
-      jopt.max_rounds = joint_.max_rounds;
-      jopt.deadline = deadline;
-      assign::JointResult result =
-          assign::SolveJointAlternating(net_, WoltJointAssociator(), jopt);
-      proposed_plan_ = std::move(result.channels);
-      return std::move(result.assignment);
-    }
+    case ReoptTier::kFull: solver = policy_.get(); break;
+    case ReoptTier::kHungarianOnly: solver = hungarian_only_.get(); break;
+    case ReoptTier::kGreedy: solver = greedy_.get(); break;
+    case ReoptTier::kHoldLastGood: break;
   }
-  return evacuate;
-}
-
-model::EvalOptions CentralController::PlanEval(
-    const std::vector<int>& plan) const {
-  model::EvalOptions eval;
-  if (!plan.empty()) {
-    eval.wifi_channel = plan;
-    eval.carrier_sense_range_m = joint_.carrier_sense_range_m;
-  }
-  return eval;
-}
-
-void CentralController::SetJointMode(JointModeParams params) {
-  if (params.num_channels < 0 || params.max_rounds < 0 ||
-      !(params.carrier_sense_range_m > 0.0)) {
-    throw std::invalid_argument("bad joint-mode parameters");
-  }
-  joint_ = params;
-  if (joint_.num_channels <= 0) channel_plan_.clear();
+  if (solver == nullptr) return evacuate;
+  // Greedy re-places only the evacuated users, everyone else holds; the
+  // other rungs re-solve from the current assignment.
+  solver->SetDeadline(deadline);
+  model::Assignment proposed =
+      solver->Associate(net_, tier == ReoptTier::kGreedy ? evacuate : before);
+  solver->SetDeadline(nullptr);  // the token dies with this frame
+  return proposed;
 }
 
 ReoptReport CentralController::Reoptimize(double budget_seconds) {
@@ -736,38 +675,28 @@ ReoptReport CentralController::Reoptimize(double budget_seconds) {
   // exists the moment the budget dies. Each rung starts only while budget
   // remains and serves only if it finished within budget; inside a rung the
   // solvers poll the deadline per bounded unit of work, so the overrun past
-  // `budget_seconds` is at most one such unit. With joint mode enabled the
-  // ladder tops out at kJoint (re-association + channel recolouring).
-  const bool joint_enabled = joint_.num_channels > 0;
-  const ReoptTier top = joint_enabled ? ReoptTier::kJoint : ReoptTier::kFull;
+  // `budget_seconds` is at most one such unit.
   model::Assignment chosen = evacuate;
-  std::vector<int> chosen_plan = channel_plan_;
   report.tier = ReoptTier::kHoldLastGood;
   for (ReoptTier tier : {ReoptTier::kGreedy, ReoptTier::kHungarianOnly,
-                         ReoptTier::kFull, ReoptTier::kJoint}) {
-    if (tier == ReoptTier::kJoint && !joint_enabled) break;
+                         ReoptTier::kFull}) {
     if (deadline.Expired()) break;
     model::Assignment proposed = SolveTier(tier, &deadline, before, evacuate);
     if (!deadline.Expired()) {
       chosen = std::move(proposed);
-      chosen_plan =
-          tier == ReoptTier::kJoint ? proposed_plan_ : channel_plan_;
       report.tier = tier;
     }
   }
 
   // budget_limited reflects the ladder outcome; the guard below can still
   // demote the serving tier on quality grounds, which is not a budget event.
-  report.budget_limited = report.tier != top;
+  report.budget_limited = report.tier != ReoptTier::kFull;
   const bool no_tier_fit = report.tier == ReoptTier::kHoldLastGood;
 
   // Same do-no-harm contract as Reoptimize(): never deploy below the
-  // hold-last-good baseline. The candidate scores under the plan it would
-  // commit, the baseline under the plan already committed (plan-free when
-  // joint mode never adopted — identical to the pre-joint behaviour).
-  if (GuardTrips(chosen, chosen_plan, evacuate)) {
+  // hold-last-good baseline.
+  if (GuardTrips(chosen, evacuate)) {
     chosen = evacuate;
-    chosen_plan = channel_plan_;
     report.tier = ReoptTier::kHoldLastGood;
   }
 
@@ -776,7 +705,6 @@ ReoptReport CentralController::Reoptimize(double budget_seconds) {
     s->ctrl.reopt_budget_overruns.Add(1);
   }
 
-  channel_plan_ = std::move(chosen_plan);
   report.directives = DiffAndRegister(before, std::move(chosen));
   return report;
 }
@@ -788,40 +716,30 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
   ReoptReport report;
   const model::Assignment before = assignment_;
   const model::Assignment evacuate = EvacuationFallback();
-  const bool joint_enabled = joint_.num_channels > 0;
 
   // Hold-last-good is the zero-cost floor of the candidate set; every
   // affordable rung competes against it and against each other on scored
   // throughput. Iterating cheapest-first with a strict improvement
   // threshold makes ties stick with the cheaper (less disruptive) rung.
   model::Assignment chosen = evacuate;
-  std::vector<int> chosen_plan = channel_plan_;
   report.tier = ReoptTier::kHoldLastGood;
-  const model::Evaluator base_eval(PlanEval(channel_plan_));
-  double best = base_eval.AggregateThroughput(net_, evacuate);
+  const model::Evaluator eval;
+  double best = eval.AggregateThroughput(net_, evacuate);
   for (ReoptTier tier : {ReoptTier::kGreedy, ReoptTier::kHungarianOnly,
-                         ReoptTier::kFull, ReoptTier::kJoint}) {
+                         ReoptTier::kFull}) {
     if (TierCost(tier) > TierCost(top)) break;
-    if (tier == ReoptTier::kJoint && !joint_enabled) break;
     model::Assignment proposed = SolveTier(tier, nullptr, before, evacuate);
-    std::vector<int> plan =
-        tier == ReoptTier::kJoint ? proposed_plan_ : channel_plan_;
-    const model::Evaluator eval(PlanEval(plan));
     const double score = eval.AggregateThroughput(net_, proposed);
     if (score > best + 1e-9) {
       best = score;
       chosen = std::move(proposed);
-      chosen_plan = std::move(plan);
       report.tier = tier;
     }
   }
-  report.budget_limited =
-      TierCost(top) <
-      TierCost(joint_enabled ? ReoptTier::kJoint : ReoptTier::kFull);
+  report.budget_limited = TierCost(top) < TierCost(ReoptTier::kFull);
 
   CountServedTier(report.tier);
 
-  channel_plan_ = std::move(chosen_plan);
   report.directives = DiffAndRegister(before, std::move(chosen));
   return report;
 }
@@ -835,22 +753,16 @@ ReoptReport CentralController::ReoptimizeAtTier(ReoptTier tier) {
   const model::Assignment before = assignment_;
   const model::Assignment evacuate = EvacuationFallback();
   model::Assignment chosen = SolveTier(tier, nullptr, before, evacuate);
-  std::vector<int> chosen_plan =
-      (tier == ReoptTier::kJoint && joint_.num_channels > 0) ? proposed_plan_
-                                                             : channel_plan_;
 
   // Same do-no-harm contract as the budgeted ladder.
-  if (GuardTrips(chosen, chosen_plan, evacuate)) {
+  if (GuardTrips(chosen, evacuate)) {
     chosen = evacuate;
-    chosen_plan = channel_plan_;
     report.tier = ReoptTier::kHoldLastGood;
   }
-  report.budget_limited = report.tier != ReoptTier::kFull &&
-                          report.tier != ReoptTier::kJoint;
+  report.budget_limited = report.tier != ReoptTier::kFull;
 
   CountServedTier(report.tier);
 
-  channel_plan_ = std::move(chosen_plan);
   report.directives = DiffAndRegister(before, std::move(chosen));
   return report;
 }
@@ -933,10 +845,7 @@ double CentralController::CapacityAge(int extender) const {
 }
 
 double CentralController::CurrentAggregate() const {
-  // Under joint mode the committed channel plan is part of the physical
-  // model: co-channel cells in range share airtime.
-  return model::Evaluator(PlanEval(channel_plan_))
-      .AggregateThroughput(net_, assignment_);
+  return model::Evaluator().AggregateThroughput(net_, assignment_);
 }
 
 void CentralController::SaveState(std::string* out) const {
@@ -989,10 +898,9 @@ void CentralController::SaveState(std::string* out) const {
     util::PutI32(out, p.attempts);
     util::PutDouble(out, p.next_retry);
   }
-  // Committed channel plan (appended last; empty when joint mode has never
-  // adopted a kJoint epoch).
-  util::PutU64(out, channel_plan_.size());
-  for (int c : channel_plan_) util::PutI32(out, c);
+  // A zero count closes the snapshot. It once counted a committed channel
+  // plan; it stays so the layout of existing fleet journals is unchanged.
+  util::PutU64(out, 0);
 }
 
 bool CentralController::RestoreState(util::ByteCursor* cur) {
@@ -1078,16 +986,8 @@ bool CentralController::RestoreState(util::ByteCursor* cur) {
     pending[id] = p;
   }
 
-  const std::uint64_t plan_size = cur->U64();
-  if (!cur->ok() || (plan_size != 0 && plan_size != num_ext)) return false;
-  std::vector<int> channel_plan;
-  channel_plan.reserve(plan_size);
-  for (std::uint64_t j = 0; j < plan_size; ++j) {
-    const int c = cur->I32();
-    if (!cur->ok() || c < 0 || c >= model::kMaxWifiChannels) return false;
-    channel_plan.push_back(c);
-  }
-  if (!cur->ok()) return false;
+  // The closing count (see SaveState) is always zero.
+  if (cur->U64() != 0 || !cur->ok()) return false;
 
   net_ = std::move(net);
   assignment_ = std::move(assignment);
@@ -1101,7 +1001,6 @@ bool CentralController::RestoreState(util::ByteCursor* cur) {
   flap_ = std::move(flap);
   index_of_id_ = std::move(index_of_id);
   pending_ = std::move(pending);
-  channel_plan_ = std::move(channel_plan);
   return true;
 }
 

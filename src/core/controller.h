@@ -155,10 +155,12 @@ struct RetryParams {
   int max_attempts = 5;
 };
 
-// Which rung of the anytime degradation ladder served a budgeted
-// reoptimization epoch (Reoptimize(budget_seconds)). Ordered cheapest-last:
-// the controller runs the ladder bottom-up and keeps the best tier that
-// completed within the wall-clock budget.
+// The four rungs of the anytime degradation ladder, ordered cheapest-last.
+// Every reoptimization epoch reports the rung that served it and counts it
+// in ctrl.reopt.tier.*: the budgeted ladder (Reoptimize(budget_seconds))
+// runs bottom-up and keeps the best tier that completed within the
+// wall-clock budget, ReoptimizeAtTier runs one rung (Reoptimize() is
+// kFull), and ReoptimizeUpToTier keeps the best-scoring affordable rung.
 // New tiers append at the end: the value is journal-encoded by the fleet
 // runtime, so reordering would corrupt old journals.
 enum class ReoptTier {
@@ -166,7 +168,6 @@ enum class ReoptTier {
   kHungarianOnly,   // WOLT Phase I only (no local search), sticky Phase II
   kGreedy,          // greedy re-insertion of evacuated users only
   kHoldLastGood,    // previous assignment, dead-backhaul users evacuated
-  kJoint,           // joint association + channel recolouring (SetJointMode)
 };
 const char* ToString(ReoptTier t);
 
@@ -177,10 +178,8 @@ const char* ToString(ReoptTier t);
 std::size_t TierCost(ReoptTier tier);
 
 // The best rung affordable with `units` budget units: the most expensive
-// tier whose TierCost fits. units <= 0 means unbudgeted — the full solve
-// (kJoint when joint mode is on). kJoint is only returned with
-// joint_enabled, since the tier is inert without a channel plan.
-ReoptTier TierForBudgetUnits(int units, bool joint_enabled = false);
+// tier whose TierCost fits. units <= 0 means unbudgeted — the full solve.
+ReoptTier TierForBudgetUnits(int units);
 
 // Outcome of one budgeted reoptimization epoch.
 struct ReoptReport {
@@ -202,20 +201,6 @@ struct QuarantineParams {
   int flap_threshold = 0;  // up<->down transitions that trip; 0 = off
   double window = 10.0;    // sliding window the transitions are counted in
   double hold = 30.0;      // flap-free time required before release
-};
-
-// Joint association + channel assignment mode (ReoptTier::kJoint). With
-// num_channels > 0 the controller maintains a committed per-extender channel
-// plan: every quality comparison (do-no-harm guard, CurrentAggregate) scores
-// under the overlap model of that plan, and the kJoint ladder rung — the new
-// top of the budgeted ladder — runs assign::SolveJointAlternating to propose
-// a (re-association, recolouring) pair that is committed atomically on
-// adoption. num_channels = 0 (the default) disables the tier and preserves
-// pre-existing behavior bit-for-bit.
-struct JointModeParams {
-  int num_channels = 0;  // orthogonal channels available; 0 = joint mode off
-  double carrier_sense_range_m = 60.0;  // co-channel contention radius
-  int max_rounds = 4;  // alternating rounds per solve (recolour+reassociate)
 };
 
 class CentralController {
@@ -266,7 +251,8 @@ class CentralController {
   HandleStatus HandleDirectiveAck(const DirectiveAck& ack);
 
   // Re-run the policy over the current state (the epoch-boundary action of
-  // the dynamic experiments).
+  // the dynamic experiments): the directives of ReoptimizeAtTier(kFull),
+  // do-no-harm guard included.
   std::vector<AssociationDirective> Reoptimize();
 
   // Deadline-bounded epoch reoptimization: spend at most `budget_seconds`
@@ -336,15 +322,6 @@ class CentralController {
   const model::Network& network() const { return net_; }
   const model::Assignment& assignment() const { return assignment_; }
 
-  // Enable (num_channels > 0) or disable (0) joint channel-assignment mode.
-  // Throws std::invalid_argument on negative num_channels/max_rounds or a
-  // non-positive carrier-sense range. Disabling clears the committed plan.
-  void SetJointMode(JointModeParams params);
-  const JointModeParams& joint_mode() const { return joint_; }
-  // The committed per-extender channel plan; empty until a kJoint epoch has
-  // been adopted (or after RestoreState of a controller that had one).
-  const std::vector<int>& ChannelPlan() const { return channel_plan_; }
-
   // Aggregate throughput of the current association under the physical
   // evaluation model.
   double CurrentAggregate() const;
@@ -381,24 +358,19 @@ class CentralController {
 
   HandleStatus ValidateScan(const ScanReport& report) const;
   void ApplyReport(std::size_t index, const ScanReport& report);
-  // One rung of the degradation ladder: propose an assignment at `tier`,
-  // threading `deadline` (nullable) into the solvers. Shared by the budgeted
-  // ladder walk and the clock-free ReoptimizeAtTier.
+  // One rung of the degradation ladder: propose an assignment at `tier`
+  // with that rung's solver, threading `deadline` (nullable) into it.
+  // Shared by every reoptimization entry point.
   model::Assignment SolveTier(ReoptTier tier, const util::Deadline* deadline,
                               const model::Assignment& before,
                               const model::Assignment& evacuate);
-  // Scoring options under a channel plan: default EvalOptions with `plan`
-  // installed as wifi_channel (empty plan = the plan-free physical model).
-  model::EvalOptions PlanEval(const std::vector<int>& plan) const;
   // Do-no-harm check: true, counting ctrl.reopt.guard_trips, when
-  // `candidate` scored under `plan` falls below the hold-last-good
-  // `baseline` scored under the committed plan; the caller then deploys
-  // the baseline instead.
+  // `candidate` scores below the hold-last-good `baseline`; the caller then
+  // deploys the baseline instead.
   bool GuardTrips(const model::Assignment& candidate,
-                  const std::vector<int>& plan,
                   const model::Assignment& baseline) const;
-  // guard=true (epoch reoptimization) arms the do-no-harm fallback check.
-  std::vector<AssociationDirective> RunPolicy(bool guard = false);
+  // The unguarded policy run of the arrival and scan handlers.
+  std::vector<AssociationDirective> RunPolicy();
   void RegisterDirective(const AssociationDirective& d);
   void RemoveUserAt(std::size_t index);
   // The hold-last-good baseline: the current assignment with every user on
@@ -412,6 +384,12 @@ class CentralController {
   model::Network net_;
   model::Assignment assignment_;
   PolicyPtr policy_;
+  // The kGreedy and kHungarianOnly rung solvers, built once so their
+  // scratch (the Hungarian rung's solver arena) survives across epochs.
+  // Held by pointer: a solver arena can be neither copied nor moved, and
+  // the controller must stay movable.
+  PolicyPtr greedy_;
+  PolicyPtr hungarian_only_;
   RetryParams retry_;
   QuarantineParams quarantine_;
   double now_ = 0.0;
@@ -424,9 +402,6 @@ class CentralController {
   std::vector<FlapState> flap_;        // by extender
   std::unordered_map<std::int64_t, std::size_t> index_of_id_;
   std::unordered_map<std::int64_t, PendingDirective> pending_;
-  JointModeParams joint_;
-  std::vector<int> channel_plan_;   // committed plan; empty = none
-  std::vector<int> proposed_plan_;  // SolveTier(kJoint) scratch output
 };
 
 }  // namespace wolt::core

@@ -414,9 +414,9 @@ void FleetRuntime::RunRound(std::uint64_t round, util::ThreadPool& pool,
         // Budget exhausted: remaining shards wait, growing staler.
         if (units == 0) break;
         // The best rung the remaining units buy; the clamp only keeps the
-        // int argument in range, since no rung costs more than kJoint.
+        // int argument in range, since no rung costs more than kFull.
         const core::ReoptTier tier = core::TierForBudgetUnits(static_cast<int>(
-            std::min(units, TierCost(core::ReoptTier::kJoint))));
+            std::min(units, TierCost(core::ReoptTier::kFull))));
         units -= TierCost(tier);
         scratch[s].scheduled = true;
         scratch[s].tier = tier;

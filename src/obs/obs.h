@@ -103,12 +103,14 @@ struct ControllerCounters {
   Counter& evictions;            // stale users reaped
   Counter& reopt_guard_trips;    // do-no-harm fallback taken
   Counter& policy_runs;
-  // Anytime degradation ladder: which tier served each budgeted epoch.
+  // Anytime degradation ladder: which tier served each reoptimization epoch.
   Counter& reopt_tier_full;      // full policy fit the budget
   Counter& reopt_tier_hungarian; // Hungarian-only fallback served
   Counter& reopt_tier_greedy;    // greedy re-association served
   Counter& reopt_tier_hold;      // held last-good assignment
-  Counter& reopt_tier_joint;     // joint association+channel tier served
+  // Always 0: the joint channel-recolouring rung is gone. The counter stays
+  // registered because the obs golden lists it.
+  Counter& reopt_tier_joint;
   Counter& reopt_budget_overruns;  // budget expired before any tier fit
   // Flap quarantine: oscillating backhauls forced out of reoptimization.
   Counter& quarantine_trips;

@@ -10,6 +10,8 @@
 #include "core/greedy.h"
 #include "core/rssi.h"
 #include "core/wolt.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "util/codec.h"
 
 namespace wolt::core {
@@ -454,6 +456,43 @@ TEST(ReoptTierTest, DegradedTiersNeverHarmTheAggregate) {
     EXPECT_TRUE(report.budget_limited) << ToString(tier);
     EXPECT_GE(cc.CurrentAggregate(), before - 1e-12) << ToString(tier);
   }
+}
+
+// The degraded rungs keep their solvers across epochs: repeated
+// Hungarian-only reoptimizations on one controller warm the rung's arena
+// once and then reuse it, instead of allocating a fresh arena per call.
+TEST(ReoptTierTest, HungarianRungReusesItsArenaAcrossEpochs) {
+#if WOLT_OBS_ENABLED
+  constexpr std::size_t kExtenders = 15;
+  CentralController cc(kExtenders, std::make_unique<WoltPolicy>());
+  for (std::size_t j = 0; j < kExtenders; ++j) {
+    cc.HandleCapacityReport({static_cast<int>(j), 40.0 + 5.0 * j});
+  }
+  for (std::int64_t id = 0; id < 60; ++id) {
+    ScanReport scan;
+    scan.user_id = id;
+    for (std::size_t j = 0; j < kExtenders; ++j) {
+      const std::int64_t k = static_cast<std::int64_t>(j);
+      const bool hears = (id * 7 + k * 11) % 13 < 5;
+      scan.rates_mbps.push_back(hears ? 6.5 + 3.0 * ((id * 3 + k * 5) % 17)
+                                      : 0.0);
+    }
+    ASSERT_EQ(cc.IngestScan(scan), HandleStatus::kOk);
+  }
+
+  obs::MetricsRegistry registry;
+  obs::ScopedMetrics scoped(registry);
+  for (int epoch = 0; epoch < 20; ++epoch) {
+    cc.ReoptimizeAtTier(ReoptTier::kHungarianOnly);
+  }
+  std::uint64_t grows = 0;
+  for (const auto& c : registry.Snapshot().counters) {
+    if (c.name == "arena.grows") grows = c.value;
+  }
+  EXPECT_LE(grows, 1u);
+#else
+  GTEST_SKIP() << "obs counters compiled out";
+#endif
 }
 
 // --- Save/restore ---------------------------------------------------------
