@@ -156,14 +156,6 @@ bool MemVfs::FlipBit(const std::string& path, std::uint64_t bit_index) {
   return true;
 }
 
-std::vector<std::string> MemVfs::ListFiles() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(visible_.size());
-  for (const auto& [path, bytes] : visible_) names.push_back(path);
-  return names;
-}
-
 // ---------------------------------------------------------------------------
 // FaultVfs
 

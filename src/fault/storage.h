@@ -79,7 +79,6 @@ class MemVfs : public io::Vfs {
   // Bit-rot injection: flips one bit at `bit_index` in both images.
   // Returns false if the file is missing or too short.
   bool FlipBit(const std::string& path, std::uint64_t bit_index);
-  std::vector<std::string> ListFiles() const;
 
  private:
   struct Handle {

@@ -121,16 +121,6 @@ class Network {
 
   const User& UserAt(std::size_t i) const { return users_[i]; }
   const Extender& ExtenderAt(std::size_t j) const { return extenders_[j]; }
-  // Mutable access conservatively bumps Version(): the caller may change
-  // solver-visible fields (demand, PLC rate, domain) through the reference.
-  User& MutableUser(std::size_t i) {
-    version_ = NextVersionStamp();
-    return users_[i];
-  }
-  Extender& MutableExtender(std::size_t j) {
-    version_ = NextVersionStamp();
-    return extenders_[j];
-  }
 
   // True iff user i has at least one extender with r_ij > 0.
   bool UserReachable(std::size_t user) const;

@@ -68,12 +68,4 @@ double CapacityEstimator::Estimate(double true_capacity_mbps,
   return sum / static_cast<double>(params_.num_probes);
 }
 
-std::vector<double> CapacityEstimator::EstimateMany(
-    const std::vector<double>& truths, util::Rng& rng) const {
-  std::vector<double> estimates;
-  estimates.reserve(truths.size());
-  for (double t : truths) estimates.push_back(Estimate(t, rng));
-  return estimates;
-}
-
 }  // namespace wolt::plc

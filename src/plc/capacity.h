@@ -71,9 +71,6 @@ class CapacityEstimator {
   // value. Always positive.
   double Estimate(double true_capacity_mbps, util::Rng& rng) const;
 
-  std::vector<double> EstimateMany(const std::vector<double>& truths,
-                                   util::Rng& rng) const;
-
  private:
   CapacityEstimatorParams params_;
 };

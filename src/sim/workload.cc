@@ -809,10 +809,6 @@ TraceLoadResult TraceFromStringDetailed(const std::string& text) {
   return res;
 }
 
-std::optional<WorkloadTrace> TraceFromString(const std::string& text) {
-  return TraceFromStringDetailed(text).trace;
-}
-
 bool SaveTraceFile(const WorkloadTrace& trace, const std::string& path) {
   const wolt::io::IoStatus st = util::WriteFileAtomic(path, TraceToString(trace));
   wolt::io::CountWriteError(st, path);

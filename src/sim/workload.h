@@ -222,7 +222,6 @@ struct TraceLoadResult {
 // in-range values) or a typed error, never an exception.
 std::string TraceToString(const WorkloadTrace& trace);
 TraceLoadResult TraceFromStringDetailed(const std::string& text);
-std::optional<WorkloadTrace> TraceFromString(const std::string& text);
 bool SaveTraceFile(const WorkloadTrace& trace, const std::string& path);
 TraceLoadResult LoadTraceFile(const std::string& path);
 

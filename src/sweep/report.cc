@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "util/fileio.h"
-
 namespace wolt::sweep {
 namespace {
 
@@ -13,12 +11,6 @@ std::string Num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-bool WriteString(const std::string& text, const std::string& path) {
-  const io::IoStatus st = util::WriteFileAtomic(path, text);
-  io::CountWriteError(st, path);
-  return st.ok();
 }
 
 }  // namespace
@@ -124,21 +116,6 @@ std::string JsonString(const SweepResult& result, ReportOptions options) {
   }
   out << "\n  ]\n}\n";
   return out.str();
-}
-
-bool WriteTaskCsv(const SweepResult& result, const std::string& path,
-                  ReportOptions options) {
-  return WriteString(TaskCsvString(result, options), path);
-}
-
-bool WriteGroupCsv(const SweepResult& result, const std::string& path,
-                   ReportOptions options) {
-  return WriteString(GroupCsvString(result, options), path);
-}
-
-bool WriteJson(const SweepResult& result, const std::string& path,
-               ReportOptions options) {
-  return WriteString(JsonString(result, options), path);
 }
 
 }  // namespace wolt::sweep

@@ -23,12 +23,4 @@ std::string GroupCsvString(const SweepResult& result, ReportOptions = {});
 // Both views in one JSON document.
 std::string JsonString(const SweepResult& result, ReportOptions = {});
 
-// File wrappers; false when the path cannot be written.
-bool WriteTaskCsv(const SweepResult& result, const std::string& path,
-                  ReportOptions = {});
-bool WriteGroupCsv(const SweepResult& result, const std::string& path,
-                   ReportOptions = {});
-bool WriteJson(const SweepResult& result, const std::string& path,
-               ReportOptions = {});
-
 }  // namespace wolt::sweep

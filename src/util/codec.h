@@ -120,16 +120,6 @@ class ByteCursor {
     for (std::uint64_t& v : *out) v = U64();
     return ok_;
   }
-  bool I64Vec(std::vector<std::int64_t>* out) {
-    const std::uint64_t n = U64();
-    if (!ok_ || n > left_ / sizeof(std::int64_t)) {
-      ok_ = false;
-      return false;
-    }
-    out->resize(static_cast<std::size_t>(n));
-    for (std::int64_t& v : *out) v = I64();
-    return ok_;
-  }
   bool I32Vec(std::vector<int>* out) {
     const std::uint64_t n = U64();
     if (!ok_ || n > left_ / sizeof(std::int32_t)) {
@@ -157,11 +147,6 @@ class ByteCursor {
   std::size_t left_;
   bool ok_ = true;
 };
-
-inline void PutI64Vec(std::string* out, const std::vector<std::int64_t>& v) {
-  PutU64(out, v.size());
-  for (std::int64_t x : v) PutI64(out, x);
-}
 
 inline void PutI32Vec(std::string* out, const std::vector<int>& v) {
   PutU64(out, v.size());
