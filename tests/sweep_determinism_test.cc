@@ -2,8 +2,10 @@
 // results of 1-, 2-, 4- and 8-thread runs are bit-identical (exact double
 // equality, not tolerance comparison) — including when task completion
 // order is deliberately shuffled with per-task sleeps — and reporter output
-// is byte-identical across thread counts. Cancellation stops claiming work
-// but never corrupts the tasks that did run.
+// is byte-identical across thread counts. The same holds for a grid on the
+// channels axis (the joint task body, WOLT-J included) and for a grid on
+// the dynamic-workload axes (the trace-frontier task body). Cancellation
+// stops claiming work but never corrupts the tasks that did run.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,6 +19,7 @@
 
 #include "sweep/engine.h"
 #include "sweep/grid.h"
+#include "sim/workload.h"
 #include "sweep/report.h"
 #include "util/rng.h"
 
@@ -32,6 +35,46 @@ SweepGrid TestGrid() {
   grid.extenders = {8};
   grid.sharing = {model::PlcSharing::kMaxMinActive, model::PlcSharing::kEqualAll};
   grid.policies = {PolicyKind::kWolt, PolicyKind::kRssi};
+  return grid;
+}
+
+// 4 seeds x 2 channel counts x 3 policies = 24 tasks. With 3 channels every
+// task goes through the joint task body: WOLT-J runs the alternating joint
+// solver, the others a plan-blind solve paired with a naive colouring.
+SweepGrid JointGrid() {
+  SweepGrid grid;
+  grid.master_seed = 0x101E7ULL;
+  grid.SeedRange(4);
+  grid.users = {20};
+  grid.extenders = {8};
+  grid.sharing = {model::PlcSharing::kMaxMinActive};
+  grid.num_channels = {0, 3};
+  grid.policies = {PolicyKind::kWolt, PolicyKind::kRssi,
+                   PolicyKind::kJointWolt};
+  return grid;
+}
+
+// 3 seeds x 2 budgets x 2 policies = 12 trace-frontier tasks. 12 initial
+// users is above frontier_oracle_bf_max_users (9), so the per-epoch oracle
+// falls back to WOLT-S; the diurnal curve replays load events; background
+// traffic that silences the PLC domain now and then trips the flap
+// quarantine.
+SweepGrid DynamicGrid() {
+  SweepGrid grid;
+  grid.master_seed = 0xD1A7ULL;
+  grid.SeedRange(3);
+  grid.users = {12};
+  grid.extenders = {8};
+  grid.sharing = {model::PlcSharing::kMaxMinActive};
+  grid.policies = {PolicyKind::kWolt, PolicyKind::kGreedy};
+  grid.mobility = {sim::MobilityModel::kWaypoint};
+  grid.churn_rates = {0.5};
+  grid.load_curves = {sim::LoadCurve::kDiurnal};
+  grid.reopt_budgets = {1, 4};
+  grid.workload.background_share = 1.0;
+  grid.workload.background_flip_rate = 0.1;
+  grid.frontier_quarantine.flap_threshold = 2;
+  grid.frontier_quarantine.hold = 3.0;
   return grid;
 }
 
@@ -71,6 +114,13 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b,
     EXPECT_EQ(a.tasks[i].error, b.tasks[i].error) << where;
     EXPECT_EQ(a.tasks[i].aggregate_mbps, b.tasks[i].aggregate_mbps) << where;
     EXPECT_EQ(a.tasks[i].jain_fairness, b.tasks[i].jain_fairness) << where;
+    EXPECT_EQ(a.tasks[i].oracle_mbps, b.tasks[i].oracle_mbps) << where;
+    EXPECT_EQ(a.tasks[i].regret, b.tasks[i].regret) << where;
+    EXPECT_EQ(a.tasks[i].reassoc_per_user_epoch,
+              b.tasks[i].reassoc_per_user_epoch)
+        << where;
+    EXPECT_EQ(a.tasks[i].quarantine_trips, b.tasks[i].quarantine_trips)
+        << where;
     ExpectAccumBitIdentical(a.tasks[i].user_throughput,
                             b.tasks[i].user_throughput, where);
   }
@@ -90,23 +140,55 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b,
   EXPECT_EQ(JsonString(a), JsonString(b)) << what;
 }
 
+// Runs `grid` at 1 thread into `baseline`, requires every task to have
+// completed without error, and expects 2-, 4- and 8-thread runs to
+// reproduce it bit for bit.
+void ExpectThreadCountInvariant(const SweepGrid& grid, SweepResult* baseline) {
+  *baseline = RunGrid(grid, 1);
+  ASSERT_FALSE(baseline->cancelled);
+  for (const TaskResult& task : baseline->tasks) {
+    ASSERT_TRUE(task.completed);
+    ASSERT_TRUE(task.error.empty()) << task.error;
+  }
+  for (int threads : {2, 4, 8}) {
+    const SweepResult parallel = RunGrid(grid, threads);
+    ExpectBitIdentical(*baseline, parallel,
+                       "threads=" + std::to_string(threads));
+  }
+}
+
 TEST(SweepDeterminismTest, ThreadCountNeverChangesResults) {
   const SweepGrid grid = TestGrid();
   ASSERT_EQ(grid.NumTasks(), 200u);
-
-  const SweepResult baseline = RunGrid(grid, 1);
-  ASSERT_FALSE(baseline.cancelled);
+  SweepResult baseline;
+  ExpectThreadCountInvariant(grid, &baseline);
   for (const TaskResult& task : baseline.tasks) {
-    ASSERT_TRUE(task.completed);
-    ASSERT_TRUE(task.error.empty()) << task.error;
     EXPECT_GT(task.aggregate_mbps, 0.0);
   }
+}
 
-  for (int threads : {2, 4, 8}) {
-    const SweepResult parallel = RunGrid(grid, threads);
-    ExpectBitIdentical(baseline, parallel,
-                       "threads=" + std::to_string(threads));
+TEST(SweepDeterminismTest, JointChannelAxisIsThreadCountInvariant) {
+  const SweepGrid grid = JointGrid();
+  ASSERT_EQ(grid.NumTasks(), 24u);
+  SweepResult baseline;
+  ExpectThreadCountInvariant(grid, &baseline);
+  for (const TaskResult& task : baseline.tasks) {
+    EXPECT_GT(task.aggregate_mbps, 0.0);
   }
+}
+
+TEST(SweepDeterminismTest, DynamicAxesAreThreadCountInvariant) {
+  const SweepGrid grid = DynamicGrid();
+  ASSERT_EQ(grid.NumTasks(), 12u);
+  SweepResult baseline;
+  ExpectThreadCountInvariant(grid, &baseline);
+  std::uint64_t trips = 0;
+  for (const TaskResult& task : baseline.tasks) {
+    ASSERT_TRUE(task.spec.IsDynamic());
+    EXPECT_GT(task.oracle_mbps, 0.0);
+    trips += task.quarantine_trips;
+  }
+  EXPECT_GT(trips, 0u) << "no task exercised the flap quarantine";
 }
 
 TEST(SweepDeterminismTest, ShuffledCompletionOrderChangesNothing) {
