@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/obs.h"
 #include "sim/des.h"
-#include "util/fileio.h"
 
 namespace wolt::sim {
 namespace {
@@ -35,43 +31,6 @@ void EmitDouble(std::ostream& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out << buf;
-}
-
-std::optional<double> ParseDouble(const std::string& s) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    // Non-finite values ("nan", "inf", ...) must die here with a typed
-    // error, same contract as the network loader.
-    if (consumed != s.size() || !std::isfinite(v)) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<std::vector<double>> ParseDoubleList(const std::string& csv) {
-  std::vector<double> out;
-  std::istringstream in(csv);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const auto v = ParseDouble(item);
-    if (!v) return std::nullopt;
-    out.push_back(*v);
-  }
-  return out;
-}
-
-std::optional<std::unordered_map<std::string, std::string>> ParseKv(
-    std::istringstream& in) {
-  std::unordered_map<std::string, std::string> kv;
-  std::string token;
-  while (in >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    kv[token.substr(0, eq)] = token.substr(eq + 1);
-  }
-  return kv;
 }
 
 double Hypot(double dx, double dy) { return std::sqrt(dx * dx + dy * dy); }
@@ -555,277 +514,6 @@ std::string TraceToString(const WorkloadTrace& trace) {
     out << "\n";
   }
   return out.str();
-}
-
-TraceLoadResult TraceFromStringDetailed(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  int line_number = 0;
-
-  const auto next_line = [&](std::istringstream& parsed) {
-    while (std::getline(in, line)) {
-      ++line_number;
-      const std::size_t first = line.find_first_not_of(" \t\r");
-      if (first == std::string::npos || line[first] == '#') continue;
-      parsed = std::istringstream(line);
-      return true;
-    }
-    return false;
-  };
-  const auto fail = [&](model::IoErrorKind kind, std::string message) {
-    TraceLoadResult res;
-    res.error = {kind, line_number, std::move(message)};
-    return res;
-  };
-
-  std::istringstream ls;
-  std::string word;
-  int version = 0;
-  if (!next_line(ls)) {
-    return fail(model::IoErrorKind::kTruncated, "empty input");
-  }
-  if (!(ls >> word >> version) || word != "wolt-trace") {
-    return fail(model::IoErrorKind::kBadHeader,
-                "expected 'wolt-trace <version>'");
-  }
-  if (version != kTraceFormatVersion) {
-    return fail(model::IoErrorKind::kBadHeader,
-                "unsupported format version " + std::to_string(version));
-  }
-
-  std::size_t num_extenders = 0;
-  if (!next_line(ls)) {
-    return fail(model::IoErrorKind::kTruncated, "missing extenders line");
-  }
-  if (!(ls >> word >> num_extenders) || word != "extenders" ||
-      num_extenders == 0) {
-    return fail(model::IoErrorKind::kBadCount,
-                "expected 'extenders <n>' with n > 0");
-  }
-
-  if (!next_line(ls)) {
-    return fail(model::IoErrorKind::kTruncated, "missing horizon line");
-  }
-  std::string horizon_str;
-  if (!(ls >> word >> horizon_str) || word != "horizon") {
-    return fail(model::IoErrorKind::kBadRecord, "expected 'horizon <t>'");
-  }
-  const auto horizon = ParseDouble(horizon_str);
-  if (!horizon || *horizon <= 0.0) {
-    return fail(model::IoErrorKind::kBadNumber, "horizon must be > 0");
-  }
-
-  std::size_t num_events = 0;
-  if (!next_line(ls)) {
-    return fail(model::IoErrorKind::kTruncated, "missing events line");
-  }
-  // Guard the count parse: `>> std::size_t` on "-1" wraps around instead of
-  // failing, and a wrapped count would spin the record loop for eons.
-  std::string count_str;
-  if (!(ls >> word >> count_str) || word != "events") {
-    return fail(model::IoErrorKind::kBadCount, "expected 'events <n>'");
-  }
-  const auto count_val = ParseDouble(count_str);
-  if (!count_val || *count_val < 0.0 ||
-      *count_val != std::floor(*count_val) || *count_val > 1e9) {
-    return fail(model::IoErrorKind::kBadCount, "bad event count");
-  }
-  num_events = static_cast<std::size_t>(*count_val);
-
-  WorkloadTrace trace;
-  trace.num_extenders = num_extenders;
-  trace.horizon = *horizon;
-  trace.events.reserve(num_events);
-
-  std::unordered_set<std::int64_t> active;
-  std::unordered_set<std::int64_t> ever;
-  double prev_time = 0.0;
-  for (std::size_t k = 0; k < num_events; ++k) {
-    if (!next_line(ls)) {
-      return fail(model::IoErrorKind::kTruncated, "missing event record");
-    }
-    if (!(ls >> word)) {
-      return fail(model::IoErrorKind::kBadRecord, "empty event record");
-    }
-    TraceEvent ev;
-    if (word == "arrive") {
-      ev.kind = TraceEventKind::kArrival;
-    } else if (word == "depart") {
-      ev.kind = TraceEventKind::kDeparture;
-    } else if (word == "move") {
-      ev.kind = TraceEventKind::kMove;
-    } else if (word == "load") {
-      ev.kind = TraceEventKind::kLoad;
-    } else if (word == "bg") {
-      ev.kind = TraceEventKind::kBackground;
-    } else {
-      return fail(model::IoErrorKind::kBadRecord,
-                  "unknown event kind '" + word + "'");
-    }
-    const auto kv = ParseKv(ls);
-    if (!kv) {
-      return fail(model::IoErrorKind::kBadKeyValue,
-                  "malformed key=value token");
-    }
-    if (!kv->count("t")) {
-      return fail(model::IoErrorKind::kBadKeyValue, "event record needs t=");
-    }
-    const auto t = ParseDouble(kv->at("t"));
-    if (!t || *t < 0.0) {
-      return fail(model::IoErrorKind::kBadNumber, "event time must be >= 0");
-    }
-    if (*t < prev_time) {
-      return fail(model::IoErrorKind::kBadRecord, "time moves backwards");
-    }
-    if (*t > trace.horizon) {
-      return fail(model::IoErrorKind::kBadRecord, "event past the horizon");
-    }
-    prev_time = *t;
-    ev.time = *t;
-
-    const auto parse_user = [&]() -> std::optional<std::int64_t> {
-      if (!kv->count("user")) return std::nullopt;
-      const auto u = ParseDouble(kv->at("user"));
-      if (!u || *u < 0.0 || *u != std::floor(*u)) return std::nullopt;
-      return static_cast<std::int64_t>(*u);
-    };
-
-    switch (ev.kind) {
-      case TraceEventKind::kArrival:
-      case TraceEventKind::kMove: {
-        const auto uid = parse_user();
-        if (!uid) {
-          return fail(model::IoErrorKind::kBadNumber,
-                      "user must be an integer >= 0");
-        }
-        ev.user = *uid;
-        if (ev.kind == TraceEventKind::kArrival) {
-          if (ever.count(ev.user)) {
-            return fail(model::IoErrorKind::kBadRecord,
-                        "user arrives twice");
-          }
-          if (!kv->count("demand")) {
-            return fail(model::IoErrorKind::kBadKeyValue,
-                        "arrive record needs demand=");
-          }
-          const auto demand = ParseDouble(kv->at("demand"));
-          if (!demand || *demand < 0.0) {
-            return fail(model::IoErrorKind::kBadNumber,
-                        "demand must be >= 0");
-          }
-          ev.demand_mbps = *demand;
-          ever.insert(ev.user);
-          active.insert(ev.user);
-        } else if (!active.count(ev.user)) {
-          return fail(model::IoErrorKind::kBadRecord,
-                      "move of an inactive user");
-        }
-        if (!kv->count("x") || !kv->count("y") || !kv->count("rates") ||
-            !kv->count("rssi")) {
-          return fail(model::IoErrorKind::kBadKeyValue,
-                      "record needs x=, y=, rates=, rssi=");
-        }
-        const auto x = ParseDouble(kv->at("x"));
-        const auto y = ParseDouble(kv->at("y"));
-        if (!x || !y) {
-          return fail(model::IoErrorKind::kBadNumber, "unparsable position");
-        }
-        ev.pos = {*x, *y};
-        const auto rates = ParseDoubleList(kv->at("rates"));
-        const auto rssi = ParseDoubleList(kv->at("rssi"));
-        if (!rates || !rssi) {
-          return fail(model::IoErrorKind::kBadNumber,
-                      "unparsable rates/rssi row");
-        }
-        if (rates->size() != num_extenders || rssi->size() != num_extenders) {
-          return fail(model::IoErrorKind::kBadDimension,
-                      "rates/rssi row length != extender count");
-        }
-        for (double r : *rates) {
-          if (r < 0.0) {
-            return fail(model::IoErrorKind::kBadNumber, "negative rate");
-          }
-        }
-        ev.rates_mbps = *rates;
-        ev.rssi_dbm = *rssi;
-        break;
-      }
-      case TraceEventKind::kDeparture: {
-        const auto uid = parse_user();
-        if (!uid) {
-          return fail(model::IoErrorKind::kBadNumber,
-                      "user must be an integer >= 0");
-        }
-        ev.user = *uid;
-        if (!active.erase(ev.user)) {
-          return fail(model::IoErrorKind::kBadRecord,
-                      "departure of an inactive user");
-        }
-        break;
-      }
-      case TraceEventKind::kLoad: {
-        if (!kv->count("scale")) {
-          return fail(model::IoErrorKind::kBadKeyValue,
-                      "load record needs scale=");
-        }
-        const auto scale = ParseDouble(kv->at("scale"));
-        if (!scale || *scale < 0.0) {
-          return fail(model::IoErrorKind::kBadNumber, "scale must be >= 0");
-        }
-        ev.value = *scale;
-        break;
-      }
-      case TraceEventKind::kBackground: {
-        if (!kv->count("domain") || !kv->count("share")) {
-          return fail(model::IoErrorKind::kBadKeyValue,
-                      "bg record needs domain=, share=");
-        }
-        const auto dom = ParseDouble(kv->at("domain"));
-        if (!dom || *dom < 0.0 || *dom != std::floor(*dom)) {
-          return fail(model::IoErrorKind::kBadNumber,
-                      "domain must be an integer >= 0");
-        }
-        const auto share = ParseDouble(kv->at("share"));
-        if (!share || *share < 0.0 || *share > 1.0) {
-          return fail(model::IoErrorKind::kBadNumber,
-                      "share must be in [0, 1]");
-        }
-        ev.domain = static_cast<int>(*dom);
-        ev.value = *share;
-        break;
-      }
-    }
-    trace.events.push_back(std::move(ev));
-  }
-
-  std::istringstream extra;
-  if (next_line(extra)) {
-    return fail(model::IoErrorKind::kTrailingInput,
-                "unexpected input after the event list");
-  }
-
-  TraceLoadResult res;
-  res.trace = std::move(trace);
-  return res;
-}
-
-bool SaveTraceFile(const WorkloadTrace& trace, const std::string& path) {
-  const wolt::io::IoStatus st = util::WriteFileAtomic(path, TraceToString(trace));
-  wolt::io::CountWriteError(st, path);
-  return st.ok();
-}
-
-TraceLoadResult LoadTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    TraceLoadResult res;
-    res.error = {model::IoErrorKind::kTruncated, 0,
-                 "cannot open " + path};
-    return res;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return TraceFromStringDetailed(buf.str());
 }
 
 }  // namespace wolt::sim

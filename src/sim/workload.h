@@ -18,19 +18,6 @@
 // property test bounds the per-step RSSI delta by the max leg speed). The
 // legacy teleport of dynamics.cc is the degenerate infinite-speed case:
 // a fresh uniform position with freshly drawn shadowing.
-//
-// Serialized format (line-oriented, '#' comments allowed, %.17g doubles):
-//   wolt-trace 1
-//   extenders <n>
-//   horizon <t>
-//   events <n>
-//   arrive t=<t> user=<id> x=<m> y=<m> demand=<mbps> rates=<r0,..> rssi=<s0,..>
-//   move t=<t> user=<id> x=<m> y=<m> rates=<r0,..> rssi=<s0,..>
-//   depart t=<t> user=<id>
-//   load t=<t> scale=<s>
-//   bg t=<t> domain=<d> share=<s>
-// Malformed inputs map to the typed model::IoErrorKind vocabulary (never an
-// exception); the golden test holds the loader to that with byte soup.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "model/io.h"
 #include "model/network.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
@@ -209,20 +195,9 @@ WorkloadTrace GenerateTrace(const ScenarioGenerator& generator,
 
 // --- Serialization -------------------------------------------------------
 
-struct TraceLoadResult {
-  std::optional<WorkloadTrace> trace;  // engaged iff the parse succeeded
-  model::IoError error;                // kind == kNone iff trace is engaged
-
-  bool ok() const { return trace.has_value(); }
-};
-
-// Byte-stable round trip: TraceFromStringDetailed(TraceToString(t)) parses
-// and re-serializes to identical bytes. The loader is total — any input
-// yields either a validated trace (ordered times, live user references,
-// in-range values) or a typed error, never an exception.
+// Line-oriented text, one event per line with %.17g doubles: the bytes the
+// trace corpus (tests/data/trace_corpus) pins. There is no loader; a trace
+// is reproduced by regenerating it from (scenario, params, seed).
 std::string TraceToString(const WorkloadTrace& trace);
-TraceLoadResult TraceFromStringDetailed(const std::string& text);
-bool SaveTraceFile(const WorkloadTrace& trace, const std::string& path);
-TraceLoadResult LoadTraceFile(const std::string& path);
 
 }  // namespace wolt::sim
