@@ -208,7 +208,9 @@ struct LogCounters {
 struct RecoverCounters {
   explicit RecoverCounters(MetricsRegistry& r);
   LogCounters journal;              // recover.journal.* (sweep journal)
-  Counter& journal_compact_failed;  // recover.journal.compact_failed
+  // recover.journal.compact_failed: always 0, since the sweep journal no
+  // longer compacts; kept registered because the obs golden lists it.
+  Counter& journal_compact_failed;
   LogCounters fleet;                // recover.fleet.* (fleet journal)
 };
 

@@ -82,6 +82,10 @@ constexpr std::uint8_t kKindTask = 2;
 constexpr LogFormat kFormat{kJournalMagic, "journal",
                            &obs::RecoverCounters::journal};
 
+// Without sync_every_append, every this many task records appended through
+// a writer are fsync'd: the journal's periodic durable points.
+constexpr std::size_t kSyncEvery = 64;
+
 }  // namespace
 
 std::string EncodeHeaderPayload(const JournalHeader& header) {
@@ -169,23 +173,19 @@ JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs) {
 
 JournalWriter::JournalWriter(const std::string& path,
                              const JournalHeader& header, Options options)
-    : header_(header),
-      options_(std::move(options)),
+    : options_(std::move(options)),
       log_(path, kFormat, options_.vfs, options_.sync_every_append) {
-  if (log_.Create()) log_.Append(EncodeHeaderPayload(header_));
+  if (log_.Create()) log_.Append(EncodeHeaderPayload(header));
 }
 
 JournalWriter::JournalWriter(const std::string& path,
                              const JournalReadResult& existing,
                              Options options)
-    : header_(existing.header),
-      options_(std::move(options)),
+    : options_(std::move(options)),
       log_(path, kFormat, options_.vfs, options_.sync_every_append) {
   if (!existing.ok) return;  // caller decides; typically restart fresh
   log_.Reopen(existing.valid_bytes);
-  payloads_.reserve(existing.records.size());
   for (const TaskRecord& rec : existing.records) {
-    payloads_.push_back(EncodeTaskPayload(rec));
     seen_indices_.insert(rec.index);
   }
 }
@@ -195,16 +195,14 @@ void JournalWriter::Append(const TaskRecord& record) {
   if (!log_.ok() || seen_indices_.count(record.index) != 0) {
     return;  // journaling off, or already journaled (restored on resume)
   }
-  std::string payload = EncodeTaskPayload(record);
-  if (!log_.Append(payload)) return;
-  payloads_.push_back(std::move(payload));
+  if (!log_.Append(EncodeTaskPayload(record))) return;
   seen_indices_.insert(record.index);
   ++appends_;
-  if (options_.compact_every > 0 && appends_ % options_.compact_every == 0 &&
-      !log_.Rewrite(EncodeHeaderPayload(header_), payloads_)) {
-    if (obs::MetricsScope* s = obs::CurrentScope()) {
-      s->recover.journal_compact_failed.Add(1);
-    }
+  // sync_every_append already made this record durable; a failed fsync
+  // degrades the log, like a failed append.
+  if (!options_.sync_every_append && appends_ % kSyncEvery == 0 &&
+      !log_.Sync()) {
+    return;
   }
   if (options_.after_append) options_.after_append(appends_);
 }

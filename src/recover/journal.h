@@ -12,9 +12,11 @@
 //
 //  * Duplicate task indices (possible when a crash lands between "task
 //    re-run" and "journal truncated") dedupe first-record-wins.
-//  * Every `compact_every` appends the journal is rewritten without
-//    duplicates via temp file + fsync + rename, bounding file growth across
-//    repeated crash/resume cycles.
+//  * The writer never appends an index the file already holds, and resume
+//    truncates the torn tail before appending, so the file holds one record
+//    per task. Unless sync_every_append is set, every 64th task record a
+//    writer appends is fsync'd, so a power cut loses at most the records
+//    since the last such durable point.
 #pragma once
 
 #include <cstdint>
@@ -74,14 +76,11 @@ JournalReadResult ReadJournal(const std::string& path, io::Vfs* vfs = nullptr);
 class JournalWriter {
  public:
   struct Options {
-    // Rewrite the journal (dedup + fsync + rename) every this many appends;
-    // 0 disables compaction.
-    std::size_t compact_every = 64;
     // Test hook, called after each task record has been written (and after
-    // any compaction it triggered), with the count of task records appended
-    // through this writer. The header is not counted, and a duplicate is
-    // neither written nor counted. The crash harness raises SIGKILL in here
-    // to die at an exact journal position.
+    // the periodic fsync it triggered), with the count of task records
+    // appended through this writer. The header is not counted, and a
+    // duplicate is neither written nor counted. The crash harness raises
+    // SIGKILL in here to die at an exact journal position.
     std::function<void(std::size_t)> after_append;
     // Storage backend; nullptr = the real filesystem.
     io::Vfs* vfs = nullptr;
@@ -114,13 +113,10 @@ class JournalWriter {
   void Close();
 
  private:
-  JournalHeader header_;
   Options options_;
   LogWriter log_;
   std::mutex mu_;
   std::size_t appends_ = 0;
-  // Every unique record payload written (or restored), for compaction.
-  std::vector<std::string> payloads_;
   std::unordered_set<std::uint64_t> seen_indices_;
 };
 

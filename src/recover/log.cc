@@ -5,7 +5,6 @@
 
 #include "obs/obs.h"
 #include "util/codec.h"
-#include "util/fileio.h"
 
 namespace wolt::recover {
 namespace {
@@ -125,34 +124,23 @@ void LogWriter::Reopen(std::uint64_t keep) {
 
 bool LogWriter::Append(const std::string& payload) {
   if (fd_ < 0) return false;
-  io::IoStatus st =
+  const io::IoStatus st =
       io::WriteAll(*vfs_, fd_, FrameRecord(format_.magic, payload));
-  if (st.ok() && sync_every_append_) st = io::FsyncRetry(*vfs_, fd_);
   if (!st.ok()) {
     Degrade(st, "append failed");
     return false;
   }
-  return true;
+  return !sync_every_append_ || Sync();
 }
 
-bool LogWriter::Rewrite(const std::string& header,
-                        const std::vector<std::string>& records) {
-  std::string contents = FrameRecord(format_.magic, header);
-  for (const std::string& payload : records) {
-    contents.append(FrameRecord(format_.magic, payload));
+bool LogWriter::Sync() {
+  if (fd_ < 0) return false;
+  const io::IoStatus st = io::FsyncRetry(*vfs_, fd_);
+  if (!st.ok()) {
+    Degrade(st, "fsync failed");
+    return false;
   }
-  vfs_->Close(fd_);
-  fd_ = -1;
-  const io::IoStatus write_st = util::WriteFileAtomic(path_, contents, vfs_);
-  if (!write_st.ok()) {
-    std::fprintf(stderr,
-                 "wolt: %s %s: compaction failed (%s); keeping the "
-                 "uncompacted %s\n",
-                 format_.name, path_.c_str(), write_st.Message().c_str(),
-                 format_.name);
-  }
-  Open(io::Vfs::OpenMode::kAppend, "cannot reopen after compaction");
-  return write_st.ok();
+  return true;
 }
 
 void LogWriter::Close() {

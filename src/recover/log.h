@@ -9,7 +9,8 @@
 // Crash semantics:
 //  * Each frame reaches the kernel as it is appended: a process kill (the
 //    page cache survives) loses at most the frame being written. Power loss
-//    can lose more; sync_every_append, Rewrite() and Close() fsync.
+//    can lose everything after the last fsync: sync_every_append, Sync()
+//    and Close() fsync.
 //  * The reader validates frames front to back; the first bad frame (bad
 //    magic, truncated length, checksum mismatch, unparsable payload) ends
 //    the valid prefix. Resume truncates the file back to a frame boundary
@@ -20,7 +21,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "io/vfs.h"
 #include "obs/obs.h"
@@ -96,17 +96,13 @@ class LogWriter {
   bool degraded() const { return degraded_; }
 
   // Frames and writes one payload, fsync'ing it when sync_every_append is
-  // set. Returns false when the log is closed or the write degraded it.
+  // set. Returns false when the log is closed or the write or its fsync
+  // degraded it.
   bool Append(const std::string& payload);
 
-  // Replaces the file with `header` followed by `records`, framed, through
-  // util::WriteFileAtomic (temp + fsync + rename), then reopens it for
-  // appending. A crash anywhere in here leaves either the old file or the
-  // new one, never a torn file. So does an I/O failure (ENOSPC mid-rewrite):
-  // the old file stays valid, appends continue after it, one warning is
-  // printed and Rewrite returns false.
-  bool Rewrite(const std::string& header,
-               const std::vector<std::string>& records);
+  // fsyncs the file: everything appended so far survives a power cut.
+  // Returns false when the log is closed or the fsync degraded it.
+  bool Sync();
 
   // fsync + close. Idempotent; called by the destructor.
   void Close();

@@ -164,7 +164,6 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
     header.fingerprint = Fingerprint(grid);
     header.num_tasks = num_tasks;
     recover::JournalWriter::Options jopts;
-    jopts.compact_every = options_.journal_compact_every;
     jopts.after_append = options_.after_journal_append;
     jopts.vfs = options_.vfs;
     jopts.sync_every_append = options_.journal_sync_every_append;

@@ -62,9 +62,6 @@ struct SweepOptions {
   // (fingerprint/task-count mismatch): that is caller error, not damage.
   // Torn/rotted tail records are truncated; duplicates dedupe first-wins.
   bool resume = false;
-  // Journal compaction cadence (rewrite deduped via temp+fsync+rename every
-  // N appends); 0 disables compaction.
-  std::size_t journal_compact_every = 64;
   // fsync the journal after every append (see JournalWriter::Options).
   bool journal_sync_every_append = false;
   // Test hook: called after the Nth journal append has been flushed. The

@@ -52,7 +52,6 @@ SweepOptions CrashOptions(int threads) {
   SweepOptions opt;
   opt.threads = threads;
   opt.collect_metrics = true;
-  opt.journal_compact_every = 8;  // exercise compaction mid-crash too
   return opt;
 }
 
@@ -74,8 +73,8 @@ const bool kCrashChildRan = [] {
   opt.resume = std::getenv("WOLT_CRASH_RESUME") != nullptr;
   opt.after_journal_append = [kill_at](std::size_t appends) {
     if (appends == kill_at) {
-      // Die with no warning, mid-sweep, possibly mid-compaction-window:
-      // exactly what a power-user's OOM killer does.
+      // Die with no warning, mid-sweep: exactly what a power-user's OOM
+      // killer does.
       kill(getpid(), SIGKILL);
     }
   };

@@ -99,7 +99,6 @@ std::string WriteSweepCorpus() {
   fault::MemVfs mem;
   JournalWriter::Options opts;
   opts.vfs = &mem;
-  opts.compact_every = 0;
   {
     JournalWriter w("corpus.wjl", SweepHeader(), opts);
     EXPECT_TRUE(w.ok());

@@ -1,7 +1,7 @@
 // Unit tests for the sweep write-ahead journal (src/recover/): payload
 // codec bit-exactness, torn-tail detection at every truncation offset,
 // mid-file corruption, duplicate-record dedup, resume-after-truncate, and
-// compaction bounding file growth.
+// writer-side dedup bounding file growth.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -263,19 +263,18 @@ TEST(JournalWriter, WriteReadRoundTripAndResume) {
   fs::remove(path);
 }
 
-TEST(JournalWriter, CompactionDedupesAndBoundsGrowth) {
-  const std::string path = TempPath("wolt_journal_compact.wal");
+TEST(JournalWriter, DuplicateAppendsDedupeAndBoundGrowth) {
+  const std::string path = TempPath("wolt_journal_dedup.wal");
   JournalHeader header;
   header.num_tasks = 4;
   JournalWriter::Options opts;
-  opts.compact_every = 4;
   std::size_t appends_seen = 0;
   opts.after_append = [&](std::size_t n) { appends_seen = n; };
   {
     JournalWriter w(path, header, opts);
     ASSERT_TRUE(w.ok());
     // 8 appends of the same 4 records; each duplicate is dropped before it
-    // hits the file, and compaction rewrites the rest canonically.
+    // hits the file, so the file holds each record once.
     for (int round = 0; round < 2; ++round) {
       for (std::uint64_t i = 0; i < 4; ++i) w.Append(MakeRecord(i));
     }
@@ -286,13 +285,13 @@ TEST(JournalWriter, CompactionDedupesAndBoundsGrowth) {
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.records.size(), 4u);
   EXPECT_EQ(r.duplicates, 0u);
-  const std::uint64_t compact_size = fs::file_size(path);
+  const std::uint64_t on_disk = fs::file_size(path);
   // A journal with the same 4 unique records written once is the floor.
   std::string canonical = FramePayload(EncodeHeaderPayload(header));
   for (std::uint64_t i = 0; i < 4; ++i) {
     canonical += FramePayload(EncodeTaskPayload(MakeRecord(i)));
   }
-  EXPECT_EQ(compact_size, canonical.size());
+  EXPECT_EQ(on_disk, canonical.size());
   fs::remove(path);
 }
 

@@ -77,7 +77,6 @@ sweep::SweepOptions SweepCrashOptions(int threads, io::Vfs* vfs,
   opt.threads = threads;
   opt.collect_metrics = true;
   opt.journal_path = kSweepJournal;
-  opt.journal_compact_every = 24;  // two compactions inside the 64 appends
   opt.journal_sync_every_append = true;
   opt.vfs = vfs;
   opt.resume = resume;

@@ -8,8 +8,8 @@
 // fsync lies, torn renames, a power cut at any operation — the destination
 // holds either the complete old bytes or the complete new bytes, never a
 // prefix or a mix. The degraded-journal units at the bottom pin the
-// graceful-degradation semantics (append failure disables journaling
-// without taking the run down; a failed compaction keeps the old journal).
+// graceful-degradation semantics (an append or fsync failure disables
+// journaling without taking the run down) and the journal's durable points.
 #include "fault/storage.h"
 
 #include <gtest/gtest.h>
@@ -393,7 +393,6 @@ TEST(JournalDegradeTest, AppendFailureDisablesJournalingKeepsValidPrefix) {
   obs::ScopedMetrics scoped(reg);
 
   recover::JournalWriter::Options opts;
-  opts.compact_every = 0;
   opts.vfs = &vfs;
   recover::JournalHeader header;
   header.fingerprint = 42;
@@ -422,40 +421,66 @@ TEST(JournalDegradeTest, AppendFailureDisablesJournalingKeepsValidPrefix) {
 #endif
 }
 
-TEST(JournalDegradeTest, CompactionFailureKeepsOldJournalAndKeepsGoing) {
+TEST(JournalDegradeTest, PeriodicFsyncFailureDegradesAtRecord64) {
   MemVfs mem;
   StorageFaultParams params;
-  // Fail every rename: appends never rename, so this hits exactly the
-  // compaction's atomic rewrite, leaving the uncompacted journal in place.
-  params.ForOp(StorageOp::kRename).fail = 1.0;
-  params.ForOp(StorageOp::kRename).fail_err = ENOSPC;
+  // Fail every fsync: without sync_every_append the first one the journal
+  // issues is the periodic durable point after task record 64.
+  params.ForOp(StorageOp::kFsync).fail = 1.0;
+  params.ForOp(StorageOp::kFsync).fail_err = EIO;
   FaultVfs vfs(mem, params, /*seed=*/1);
 
   obs::MetricsRegistry reg;
   obs::ScopedMetrics scoped(reg);
 
   recover::JournalWriter::Options opts;
-  opts.compact_every = 2;
   opts.vfs = &vfs;
   recover::JournalHeader header;
   header.fingerprint = 42;
-  header.num_tasks = 8;
+  header.num_tasks = 100;
   recover::JournalWriter writer("sweep.wal", header, opts);
-  for (std::uint64_t i = 0; i < 5; ++i) {
+  for (std::uint64_t i = 0; i < 63; ++i) {
     writer.Append(MakeRecord(i));
-    EXPECT_TRUE(writer.ok()) << "append " << i;  // never degrades
+    ASSERT_TRUE(writer.ok()) << "append " << i;
   }
-  EXPECT_FALSE(writer.degraded());
+  writer.Append(MakeRecord(63));  // record 64: written, then its fsync fails
+  EXPECT_FALSE(writer.ok());
+  EXPECT_TRUE(writer.degraded());
+  writer.Append(MakeRecord(64));  // best-effort no-op, must not crash
   writer.Close();
 
   const recover::JournalReadResult check =
       recover::ReadJournal("sweep.wal", &mem);
   ASSERT_TRUE(check.ok) << check.error;
-  EXPECT_EQ(check.records.size(), 5u);  // nothing lost
+  EXPECT_EQ(check.records.size(), 64u);
+  EXPECT_FALSE(check.tail_torn);
+  EXPECT_FALSE(check.tail_rot);
 #if WOLT_OBS_ENABLED
-  EXPECT_GE(reg.GetCounter("recover.journal.compact_failed").Value(), 2u);
-  EXPECT_EQ(reg.GetCounter("recover.journal.degraded").Value(), 0u);
+  EXPECT_GE(reg.GetCounter("recover.journal.io_error").Value(), 1u);
+  EXPECT_EQ(reg.GetCounter("recover.journal.degraded").Value(), 1u);
 #endif
+}
+
+// Without sync_every_append the journal's durable points are every 64th
+// task record: a power cut after 130 appends keeps exactly 128.
+TEST(JournalDegradeTest, PowerCutKeepsRecordsUpToTheLastPeriodicFsync) {
+  MemVfs mem;
+  recover::JournalWriter::Options opts;
+  opts.vfs = &mem;
+  recover::JournalHeader header;
+  header.fingerprint = 42;
+  header.num_tasks = 130;
+  recover::JournalWriter writer("sweep.wal", header, opts);
+  for (std::uint64_t i = 0; i < 130; ++i) writer.Append(MakeRecord(i));
+  mem.SimulateCrash();  // before Close(), which would fsync the rest
+
+  const recover::JournalReadResult check =
+      recover::ReadJournal("sweep.wal", &mem);
+  ASSERT_TRUE(check.ok) << check.error;
+  ASSERT_EQ(check.records.size(), 128u);
+  for (std::uint64_t i = 0; i < 128; ++i) {
+    EXPECT_EQ(check.records[i].index, i);
+  }
 }
 
 TEST(JournalDegradeTest, OpenFailureDegradesImmediatelyRunContinues) {
