@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build + tests, the full suite under ASan/UBSan, the full
-# suite under TSan (the sweep engine's thread pool races would be invisible
-# to ASan), storage-fault smokes (exhaustive crash-point harness in the
-# default and ASan builds, randomized crash points under TSan), the
-# fig6a_cdf.csv golden, a parallel-determinism smoke (a 4-thread sweep must
-# emit byte-identical CSV to a 1-thread sweep), a chaos smoke checked against
-# its committed table, the repository benchmark's output checks
-# (perfbench/), and two perf gates (obs hooks <= 5%, Vfs storage seam <=
-# 1%). Run from anywhere; everything happens at the repo root.
+# CI gate: tier-1 build + tests, every target built and the suite run with
+# observability compiled out (-DWOLT_OBS=OFF), the full suite under
+# ASan/UBSan, the full suite under TSan (the sweep engine's thread pool
+# races would be invisible to ASan), storage-fault smokes (exhaustive
+# crash-point harness in the default and ASan builds, randomized crash
+# points under TSan), the fig6a_cdf.csv golden, a parallel-determinism
+# smoke (a 4-thread sweep must emit byte-identical CSV to a 1-thread sweep),
+# a chaos smoke checked against its committed table, the repository
+# benchmark's output checks (perfbench/), and two perf gates (obs hooks <=
+# 5%, Vfs storage seam <= 1%). Run from anywhere; everything happens at the
+# repo root.
 #
 #   scripts/ci.sh               the full gate above
 #   scripts/ci.sh --coverage    observability coverage gate instead: gcov
@@ -109,6 +111,16 @@ echo "==> storage-fault smoke: exhaustive crash-point harness (default build)"
 # graceful journal degradation with unchanged results.
 ./build/tests/storage_crash_test \
     --gtest_filter='StorageCrashSweep.*:StorageCrashFleet.*'
+
+echo "==> obs-off: configure + build (build-obsoff/, -DWOLT_OBS=OFF)"
+# WOLT_OBS=OFF compiles every instrumentation hook out; every target must
+# still build, and tests that read obs counters skip themselves.
+cmake -B build-obsoff -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DWOLT_OBS=OFF \
+    >/dev/null
+cmake --build build-obsoff -j"$(nproc)"
+
+echo "==> obs-off: ctest"
+ctest --test-dir build-obsoff --output-on-failure
 
 echo "==> sanitize: configure + build (build-asan/, ASan+UBSan)"
 cmake --preset sanitize >/dev/null

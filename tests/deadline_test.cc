@@ -225,6 +225,7 @@ TEST(AnytimeReopt, TinyBudgetAlwaysYieldsValidAssignment) {
 }
 
 TEST(AnytimeReopt, ObsCountersRecordServingTier) {
+  if (!WOLT_OBS_ENABLED) GTEST_SKIP() << "obs counters compiled out";
   obs::MetricsRegistry registry;
   {
     obs::ScopedMetrics scoped(registry);
