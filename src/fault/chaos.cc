@@ -351,16 +351,6 @@ ChaosResult RunChaosScenario(const ChaosParams& params, std::uint64_t seed) {
   return res;
 }
 
-std::vector<ChaosResult> RunChaosSoak(const ChaosParams& params,
-                                      std::uint64_t base_seed, int count) {
-  std::vector<ChaosResult> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int k = 0; k < count; ++k) {
-    out.push_back(RunChaosScenario(params, base_seed + static_cast<std::uint64_t>(k)));
-  }
-  return out;
-}
-
 std::vector<ChaosResult> RunChaosSoakParallel(
     const ChaosParams& params, std::uint64_t base_seed, int count,
     int threads, const std::atomic<bool>* cancel) {

@@ -92,14 +92,10 @@ struct ChaosResult {
 ChaosResult RunChaosScenario(const ChaosParams& params, std::uint64_t seed);
 
 // Runs `count` scenarios seeded base_seed, base_seed+1, ... (one fault
-// universe each).
-std::vector<ChaosResult> RunChaosSoak(const ChaosParams& params,
-                                      std::uint64_t base_seed, int count);
-
-// Same soak fanned out over a fixed-size work-stealing thread pool. Each
-// scenario is a pure function of its seed and writes only its own slot of
-// the result vector, so the output is element-for-element identical to the
-// sequential RunChaosSoak regardless of thread count or completion order.
+// universe each) on a fixed-size work-stealing thread pool. Each scenario is
+// a pure function of its seed and writes only its own slot of the result
+// vector, so the output is element-for-element identical at any thread
+// count or completion order.
 // If `cancel` is non-null and becomes true (e.g. from a SIGINT handler),
 // workers stop claiming new scenarios; unrun slots stay default-constructed
 // (completed=false).

@@ -40,7 +40,8 @@ void ExpectInvariants(const ChaosResult& r, std::uint64_t seed) {
 
 TEST(ChaosSoakTest, HundredSeedsSurviveMixedFaults) {
   const ChaosParams params = SoakParams();
-  const auto results = RunChaosSoak(params, /*base_seed=*/1000, /*count=*/100);
+  const auto results = RunChaosSoakParallel(params, /*base_seed=*/1000,
+                                            /*count=*/100, /*threads=*/2);
   ASSERT_EQ(results.size(), 100u);
   std::size_t total_faults = 0;
   for (std::size_t k = 0; k < results.size(); ++k) {
@@ -83,7 +84,7 @@ TEST(ChaosTest, RetriesHealHeavyDirectiveLoss) {
   p.departure_prob = 0.0;
   p.wire = FaultPlaneParams{};
   p.wire.ForClass(MessageClass::kDirective).loss = 0.5;
-  const auto results = RunChaosSoak(p, 7000, 20);
+  const auto results = RunChaosSoakParallel(p, 7000, 20, /*threads=*/2);
   std::size_t retries = 0;
   for (std::size_t k = 0; k < results.size(); ++k) {
     ExpectInvariants(results[k], 7000 + k);
@@ -102,7 +103,7 @@ TEST(ChaosTest, StalenessEvictionReapsGhostsWhenGoodbyesAreLost) {
   p.departure_prob = 0.9;
   p.wire = FaultPlaneParams{};
   p.wire.ForClass(MessageClass::kDeparture).loss = 1.0;
-  const auto results = RunChaosSoak(p, 8000, 20);
+  const auto results = RunChaosSoakParallel(p, 8000, 20, /*threads=*/2);
   std::size_t evictions = 0, departures = 0;
   for (std::size_t k = 0; k < results.size(); ++k) {
     ExpectInvariants(results[k], 8000 + k);
