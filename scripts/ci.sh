@@ -4,12 +4,12 @@
 # ASan/UBSan, the full suite under TSan (the sweep engine's thread pool
 # races would be invisible to ASan), storage-fault smokes (exhaustive
 # crash-point harness in the default and ASan builds, randomized crash
-# points under TSan), the fig6a_cdf.csv golden, a parallel-determinism
-# smoke (a 4-thread sweep must emit byte-identical CSV to a 1-thread sweep),
-# a chaos smoke checked against its committed table, the repository
-# benchmark's output checks (perfbench/), and two perf gates (obs hooks <=
-# 5%, Vfs storage seam <= 1%). Run from anywhere; everything happens at the
-# repo root.
+# points under TSan), the fig6a_cdf.csv and joint-sweep (--channels=3)
+# goldens, a parallel-determinism smoke (a 4-thread sweep must emit
+# byte-identical CSV to a 1-thread sweep), a chaos smoke checked against its
+# committed table, the repository benchmark's output checks (perfbench/),
+# and two perf gates (obs hooks <= 5%, Vfs storage seam <= 1%). Run from
+# anywhere; everything happens at the repo root.
 #
 #   scripts/ci.sh               the full gate above
 #   scripts/ci.sh --coverage    observability coverage gate instead: gcov
@@ -183,15 +183,19 @@ echo "==> determinism smoke: 4-thread sweep CSV == 1-thread sweep CSV"
 cmp /tmp/wolt_sweep_t1.csv /tmp/wolt_sweep_t4.csv
 rm -f /tmp/wolt_sweep_t1.csv /tmp/wolt_sweep_t4.csv
 
-echo "==> determinism smoke: joint sweep axis (--channels=3), 4-thread == 1-thread"
+echo "==> golden + determinism smoke: joint sweep axis (--channels=3)"
 # The joint path adds the WOLT-J policy and scores every trial under the
-# overlap model; its CSV must stay byte-identical across thread counts too.
+# overlap model. The 1-thread CSV must match the committed copy (written by
+# this default-preset build; it pins every WOLT-J decision), and the
+# 4-thread CSV must match the 1-thread one.
+joint_dir="$(mktemp -d)"
 ./build/bench/bench_fig6a_throughput_cdf --trials=20 --channels=3 --threads=1 \
-    --csv=/tmp/wolt_joint_t1.csv >/dev/null
+    --csv="${joint_dir}/t1.csv" >/dev/null
 ./build/bench/bench_fig6a_throughput_cdf --trials=20 --channels=3 --threads=4 \
-    --csv=/tmp/wolt_joint_t4.csv >/dev/null
-cmp /tmp/wolt_joint_t1.csv /tmp/wolt_joint_t4.csv
-rm -f /tmp/wolt_joint_t1.csv /tmp/wolt_joint_t4.csv
+    --csv="${joint_dir}/t4.csv" >/dev/null
+cmp "${joint_dir}/t1.csv" tests/data/joint_sweep/fig6a_channels3.csv
+cmp "${joint_dir}/t1.csv" "${joint_dir}/t4.csv"
+rm -rf "${joint_dir}"
 
 echo "==> determinism smoke: dynamic workload axes, 4-thread == 1-thread"
 # The trace-driven frontier path (mobility + churn + diurnal load, budgeted
