@@ -96,10 +96,11 @@ BruteForceResult SolveBruteForce(const model::Network& net,
                                  const BruteForceOptions& options) {
   const model::Evaluator evaluator(options.eval);
   const model::Assignment none(net.NumUsers());
+  model::EvalScratch scratch;
   return SolveBruteForceObjective(
       net, none,
       [&](const model::Assignment& a) {
-        return evaluator.AggregateThroughput(net, a);
+        return evaluator.Evaluate(net, a, scratch).aggregate_mbps;
       },
       options);
 }

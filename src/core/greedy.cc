@@ -12,6 +12,8 @@ model::Assignment GreedyPolicy::Associate(const model::Network& net,
   }
   model::Assignment assign = previous;
   std::vector<int> load = assign.LoadVector(net.NumExtenders());
+  // One scratch for every candidate: the SoA view is built once per call.
+  model::EvalScratch scratch;
 
   for (std::size_t i = 0; i < net.NumUsers(); ++i) {
     // Anytime contract: each placed user leaves a valid partial assignment,
@@ -25,7 +27,8 @@ model::Assignment GreedyPolicy::Associate(const model::Network& net,
       const int cap = net.MaxUsers(j);
       if (cap > 0 && load[j] >= cap) continue;
       assign.Assign(i, j);
-      const double aggregate = evaluator_.AggregateThroughput(net, assign);
+      const double aggregate =
+          evaluator_.Evaluate(net, assign, scratch).aggregate_mbps;
       assign.Unassign(i);
       if (aggregate > best_aggregate) {
         best_aggregate = aggregate;

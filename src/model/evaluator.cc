@@ -216,7 +216,7 @@ std::vector<double> MaxMinWithCaps(const std::vector<double>& caps,
 EvalResult Evaluator::Evaluate(const Network& net,
                                const Assignment& assign) const {
   EvalScratch scratch;
-  Evaluate(net, assign, scratch);
+  EvaluateReference(net, assign, scratch);
   return std::move(scratch.result);
 }
 
@@ -783,7 +783,7 @@ const EvalResult& Evaluator::Evaluate(const Network& net,
 double Evaluator::AggregateThroughput(const Network& net,
                                       const Assignment& assign) const {
   EvalScratch scratch;
-  return Evaluate(net, assign, scratch).aggregate_mbps;
+  return EvaluateReference(net, assign, scratch).aggregate_mbps;
 }
 
 }  // namespace wolt::model

@@ -144,7 +144,8 @@ class Evaluator {
 
   // Full per-user / per-extender report. Throws std::invalid_argument if an
   // assigned user has zero WiFi rate to its extender or the assignment
-  // references an unknown extender.
+  // references an unknown extender. One-shot: runs EvaluateReference on a
+  // call-local scratch (no SoA view is built for a single evaluation).
   EvalResult Evaluate(const Network& net, const Assignment& assign) const;
 
   // Hot-path variant: evaluates into `scratch` and returns scratch.result.
@@ -157,19 +158,20 @@ class Evaluator {
 
   // The straight-line reference implementation (per-user Network accessor
   // walks, CSR rebuilt per call). Kept as the differential baseline for the
-  // SoA kernel (tests/evaluator_soa_test.cc) and as the path for
-  // demand-carrying evaluations. Same results, same exceptions.
+  // SoA kernel (tests/evaluator_soa_test.cc), as the path for
+  // demand-carrying evaluations, and as the one-shot path behind the
+  // scratch-less Evaluate and AggregateThroughput: for a single evaluation
+  // its O(U + E) walk is cheaper than building the O(U x E) SoA view. Same
+  // results, same exceptions.
   const EvalResult& EvaluateReference(const Network& net,
                                       const Assignment& assign,
                                       EvalScratch& scratch) const;
 
-  // Aggregate end-to-end throughput only (same computation, convenience).
+  // Aggregate end-to-end throughput only (same computation, convenience;
+  // one-shot like the scratch-less Evaluate).
   double AggregateThroughput(const Network& net,
                              const Assignment& assign) const;
 
-  const EvalOptions& options() const { return options_; }
-
- private:
   // Resolves the per-extender co-channel WiFi contention domains for this
   // evaluation, or nullptr when neither wifi_contention_domain nor
   // wifi_channel is set (the paper's orthogonal assumption). Explicit
@@ -177,10 +179,14 @@ class Evaluator {
   // union-find over co-channel extender pairs within carrier-sense range,
   // cached in `scratch` keyed on (Version, plan, range). Throws
   // std::invalid_argument on malformed options (both modes set, wrong
-  // sizes, negative ids).
+  // sizes, negative ids). Public so IncrementalEvaluator contends over
+  // exactly the domains Evaluate uses.
   const std::vector<int>* ResolveWifiDomains(const Network& net,
                                              EvalScratch& scratch) const;
 
+  const EvalOptions& options() const { return options_; }
+
+ private:
   EvalOptions options_;
 };
 

@@ -23,19 +23,19 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
   const std::size_t num_users = net.NumUsers();
   const std::size_t num_ext = net.NumExtenders();
 
-  // Deltas are separable only in the saturated, contention-free model; any
+  // Per-extender state describes a cell only for saturated users: any
   // finite demand (even on a currently unassigned user — it could be moved
-  // in later) or co-channel WiFi coupling forces the exact fallback.
-  incremental_ =
-      options_.wifi_contention_domain.empty() && options_.wifi_channel.empty();
-  if (incremental_) {
-    for (std::size_t i = 0; i < num_users; ++i) {
-      if (net.UserDemand(i) > 0.0) {
-        incremental_ = false;
-        break;
-      }
-    }
+  // in later) forces a full re-evaluation per move. Co-channel coupling
+  // takes the exact regime, which keeps the aggregate only.
+  const bool co_channel = !options_.wifi_contention_domain.empty() ||
+                          !options_.wifi_channel.empty();
+  bool any_demand = false;
+  for (std::size_t i = 0; i < num_users && !any_demand; ++i) {
+    any_demand = net.UserDemand(i) > 0.0;
   }
+  regime_ = any_demand || (co_channel && track_log_) ? Regime::kReevaluate
+            : co_channel                            ? Regime::kExact
+                                                    : Regime::kDelta;
 
   ext_of_.assign(num_users, Assignment::kUnassigned);
   for (std::size_t i = 0; i < num_users; ++i) {
@@ -43,7 +43,7 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
   }
   load_.assign(num_ext, 0);
 
-  if (!incremental_) {
+  if (regime_ == Regime::kReevaluate) {
     mirror_ = assign;
     for (std::size_t i = 0; i < num_users; ++i) {
       const int e = ext_of_[i];
@@ -62,7 +62,9 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
     }
   }
 
+  // In ascending user order, as Evaluate sums them (kExact relies on it).
   inv_sum_.assign(num_ext, 0.0);
+  if (regime_ == Regime::kExact) members_.assign(num_ext, {});
   for (std::size_t i = 0; i < num_users; ++i) {
     const int e = ext_of_[i];
     if (e == Assignment::kUnassigned) continue;
@@ -75,13 +77,16 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
     }
     ++load_[static_cast<std::size_t>(e)];
     inv_sum_[static_cast<std::size_t>(e)] += inv;
+    if (regime_ == Regime::kExact) {
+      members_[static_cast<std::size_t>(e)].push_back(i);
+    }
   }
 
   plc_rate_.assign(num_ext, 0.0);
   wifi_demand_.assign(num_ext, 0.0);
   for (std::size_t j = 0; j < num_ext; ++j) {
     plc_rate_[j] = net.PlcRate(j);
-    RefreshWifiDemand(j);
+    if (regime_ == Regime::kDelta) RefreshWifiDemand(j);
   }
 
   // CSR grouping of extenders by PLC domain (counting sort, ascending
@@ -110,11 +115,22 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
   }
 
   time_share_.assign(num_ext, 0.0);
-  contrib_agg_.assign(num_ext, 0.0);
-  contrib_log_.assign(num_ext, 0.0);
   mm_idx_.assign(num_ext, 0);
   peek_ts_.assign(num_ext, 0.0);
   values_ = IncrementalValues{};
+
+  if (regime_ == Regime::kExact) {
+    wifi_domain_ = *evaluator_.ResolveWifiDomains(net, scratch_);
+    int max_domain = -1;
+    for (int d : wifi_domain_) max_domain = std::max(max_domain, d);
+    wifi_active_.assign(static_cast<std::size_t>(max_domain + 1), 0);
+    peek_demand_.assign(num_ext, 0.0);
+    values_.aggregate_mbps = ExactPass(wifi_demand_.data(), time_share_.data());
+    return;
+  }
+
+  contrib_agg_.assign(num_ext, 0.0);
+  contrib_log_.assign(num_ext, 0.0);
   for (std::size_t d = 0; d < num_domains; ++d) RecomputeDomain(d);
 }
 
@@ -154,6 +170,26 @@ void IncrementalEvaluator::ContributionOf(std::size_t ext,
   }
 }
 
+void IncrementalEvaluator::ShareAirtime(const int* members,
+                                        std::size_t count,
+                                        const double* demand,
+                                        double* time_share) {
+  switch (options_.plc_sharing) {
+    case PlcSharing::kMaxMinActive:
+      detail::MaxMinSharesInPlace(members, count, plc_rate_.data(), demand,
+                                  time_share, mm_idx_.data());
+      break;
+    case PlcSharing::kEqualActive:
+      detail::EqualSharesInPlace(members, count, demand, time_share,
+                                 /*denominator_all=*/false);
+      break;
+    case PlcSharing::kEqualAll:
+      detail::EqualSharesInPlace(members, count, demand, time_share,
+                                 /*denominator_all=*/true);
+      break;
+  }
+}
+
 void IncrementalEvaluator::RecomputeDomain(std::size_t domain) {
   const std::size_t begin = static_cast<std::size_t>(domain_start_[domain]);
   const std::size_t count =
@@ -167,23 +203,7 @@ void IncrementalEvaluator::RecomputeDomain(std::size_t domain) {
     values_.log_utility -= contrib_log_[j];
   }
 
-  switch (options_.plc_sharing) {
-    case PlcSharing::kMaxMinActive:
-      detail::MaxMinSharesInPlace(members, count, plc_rate_.data(),
-                                  wifi_demand_.data(), time_share_.data(),
-                                  mm_idx_.data());
-      break;
-    case PlcSharing::kEqualActive:
-      detail::EqualSharesInPlace(members, count, wifi_demand_.data(),
-                                 time_share_.data(),
-                                 /*denominator_all=*/false);
-      break;
-    case PlcSharing::kEqualAll:
-      detail::EqualSharesInPlace(members, count, wifi_demand_.data(),
-                                 time_share_.data(),
-                                 /*denominator_all=*/true);
-      break;
-  }
+  ShareAirtime(members, count, wifi_demand_.data(), time_share_.data());
 
   for (std::size_t k = 0; k < count; ++k) {
     const std::size_t j = static_cast<std::size_t>(members[k]);
@@ -222,23 +242,7 @@ IncrementalValues IncrementalEvaluator::PeekCells(const std::size_t* cells,
       peeked.aggregate_mbps -= contrib_agg_[j];
       peeked.log_utility -= contrib_log_[j];
     }
-    switch (options_.plc_sharing) {
-      case PlcSharing::kMaxMinActive:
-        detail::MaxMinSharesInPlace(members, n, plc_rate_.data(),
-                                    wifi_demand_.data(), peek_ts_.data(),
-                                    mm_idx_.data());
-        break;
-      case PlcSharing::kEqualActive:
-        detail::EqualSharesInPlace(members, n, wifi_demand_.data(),
-                                   peek_ts_.data(),
-                                   /*denominator_all=*/false);
-        break;
-      case PlcSharing::kEqualAll:
-        detail::EqualSharesInPlace(members, n, wifi_demand_.data(),
-                                   peek_ts_.data(),
-                                   /*denominator_all=*/true);
-        break;
-    }
+    ShareAirtime(members, n, wifi_demand_.data(), peek_ts_.data());
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t j = static_cast<std::size_t>(members[i]);
       double agg = 0.0, lg = 0.0;
@@ -251,6 +255,73 @@ IncrementalValues IncrementalEvaluator::PeekCells(const std::size_t* cells,
   for (std::size_t k = 0; k < count; ++k) {
     load_[cells[k]] = saved_load[k];
     wifi_demand_[cells[k]] = saved_demand[k];
+  }
+  return peeked;
+}
+
+double IncrementalEvaluator::CellSum(std::size_t cell, std::size_t drop,
+                                     std::size_t add) const {
+  const std::size_t num_ext = load_.size();
+  const double* inv = inv_rate_.data() + cell;
+  double sum = 0.0;
+  for (const std::size_t u : members_[cell]) {
+    if (add < u) {  // kNoUser is never below a user index
+      sum += inv[add * num_ext];
+      add = kNoUser;
+    }
+    if (u != drop) sum += inv[u * num_ext];
+  }
+  if (add != kNoUser) sum += inv[add * num_ext];
+  return sum;
+}
+
+double IncrementalEvaluator::ExactPass(double* demand, double* time_share) {
+  // Evaluator::Evaluate's saturated arithmetic, expression for expression
+  // and in its order, so every value matches it bit for bit.
+  const std::size_t num_ext = load_.size();
+  std::fill(wifi_active_.begin(), wifi_active_.end(), 0);
+  for (std::size_t j = 0; j < num_ext; ++j) {
+    if (load_[j] > 0) ++wifi_active_[static_cast<std::size_t>(wifi_domain_[j])];
+  }
+  for (std::size_t j = 0; j < num_ext; ++j) {
+    demand[j] = 0.0;
+    if (load_[j] == 0 || plc_rate_[j] <= 0.0) continue;
+    const double peers = static_cast<double>(
+        wifi_active_[static_cast<std::size_t>(wifi_domain_[j])]);
+    demand[j] = static_cast<double>(load_[j]) / inv_sum_[j] / peers;
+  }
+  for (std::size_t d = 0; d + 1 < domain_start_.size(); ++d) {
+    const std::size_t begin = static_cast<std::size_t>(domain_start_[d]);
+    const std::size_t count =
+        static_cast<std::size_t>(domain_start_[d + 1]) - begin;
+    if (count == 0) continue;
+    ShareAirtime(domain_items_.data() + begin, count, demand, time_share);
+  }
+  double aggregate = 0.0;
+  for (std::size_t j = 0; j < num_ext; ++j) {
+    if (load_[j] == 0 || plc_rate_[j] <= 0.0) continue;
+    aggregate += std::min(demand[j], time_share[j] * plc_rate_[j]);
+  }
+  return aggregate;
+}
+
+IncrementalValues IncrementalEvaluator::PeekExact(const std::size_t* cells,
+                                                  const int* peek_load,
+                                                  const double* peek_sum,
+                                                  std::size_t count) {
+  int saved_load[2];
+  double saved_sum[2];
+  for (std::size_t k = 0; k < count; ++k) {
+    saved_load[k] = load_[cells[k]];
+    saved_sum[k] = inv_sum_[cells[k]];
+    load_[cells[k]] = peek_load[k];
+    inv_sum_[cells[k]] = peek_sum[k];
+  }
+  IncrementalValues peeked;
+  peeked.aggregate_mbps = ExactPass(peek_demand_.data(), peek_ts_.data());
+  for (std::size_t k = 0; k < count; ++k) {
+    load_[cells[k]] = saved_load[k];
+    inv_sum_[cells[k]] = saved_sum[k];
   }
   return peeked;
 }
@@ -268,10 +339,28 @@ void IncrementalEvaluator::RecomputeFallback() {
   result_stale_ = false;
 }
 
+void IncrementalEvaluator::CheckUser(std::size_t user) const {
+  if (user >= ext_of_.size()) throw std::invalid_argument("unknown user");
+}
+
+void IncrementalEvaluator::CheckTarget(std::size_t user, int to) const {
+  if (to == Assignment::kUnassigned) return;
+  const std::size_t num_ext = load_.size();
+  if (to < 0 || static_cast<std::size_t>(to) >= num_ext) {
+    throw std::invalid_argument("move references unknown extender");
+  }
+  const std::size_t t = static_cast<std::size_t>(to);
+  const bool reachable = regime_ == Regime::kReevaluate
+                             ? net_->WifiRate(user, t) > 0.0
+                             : inv_rate_[user * num_ext + t] > 0.0;
+  if (!reachable) throw std::invalid_argument("move to unreachable extender");
+}
+
 double IncrementalEvaluator::UserThroughput(std::size_t user) {
+  CheckUser(user);
   const int e = ext_of_[user];
   if (e == Assignment::kUnassigned) return 0.0;
-  if (!incremental_) {
+  if (regime_ == Regime::kReevaluate) {
     if (result_stale_) RecomputeFallback();
     return scratch_.result.user_throughput_mbps[user];
   }
@@ -283,26 +372,13 @@ double IncrementalEvaluator::UserThroughput(std::size_t user) {
 }
 
 void IncrementalEvaluator::ApplyMove(std::size_t user, int to) {
-  if (user >= ext_of_.size()) {
-    throw std::invalid_argument("unknown user");
-  }
+  CheckUser(user);
   const int from = ext_of_[user];
   if (to == from) return;
-  if (to != Assignment::kUnassigned) {
-    if (to < 0 || static_cast<std::size_t>(to) >= load_.size()) {
-      throw std::invalid_argument("move references unknown extender");
-    }
-    const double r_to =
-        incremental_
-            ? inv_rate_[user * load_.size() + static_cast<std::size_t>(to)]
-            : net_->WifiRate(user, static_cast<std::size_t>(to));
-    if (r_to <= 0.0) {
-      throw std::invalid_argument("move to unreachable extender");
-    }
-  }
+  CheckTarget(user, to);
   ++mutations_;
 
-  if (!incremental_) {
+  if (regime_ == Regime::kReevaluate) {
     if (to == Assignment::kUnassigned) {
       mirror_.Unassign(user);
       --load_[static_cast<std::size_t>(from)];
@@ -315,6 +391,28 @@ void IncrementalEvaluator::ApplyMove(std::size_t user, int to) {
     }
     ext_of_[user] = to;
     RecomputeFallback();
+    return;
+  }
+
+  if (regime_ == Regime::kExact) {
+    // Re-sum the touched cells from their member lists: no drift.
+    if (from != Assignment::kUnassigned) {
+      const std::size_t f = static_cast<std::size_t>(from);
+      std::vector<std::size_t>& m = members_[f];
+      m.erase(std::lower_bound(m.begin(), m.end(), user));
+      --load_[f];
+      inv_sum_[f] = CellSum(f, kNoUser, kNoUser);
+    }
+    if (to != Assignment::kUnassigned) {
+      const std::size_t t = static_cast<std::size_t>(to);
+      std::vector<std::size_t>& m = members_[t];
+      m.insert(std::upper_bound(m.begin(), m.end(), user), user);
+      ++load_[t];
+      inv_sum_[t] = CellSum(t, kNoUser, kNoUser);
+    }
+    ext_of_[user] = to;
+    values_.aggregate_mbps =
+        ExactPass(wifi_demand_.data(), time_share_.data());
     return;
   }
 
@@ -348,10 +446,12 @@ void IncrementalEvaluator::ApplyMove(std::size_t user, int to) {
 }
 
 IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
+  CheckUser(user);
   const int from = ext_of_[user];
   if (to == from) return values_;
+  CheckTarget(user, to);
 
-  if (!incremental_) {
+  if (regime_ == Regime::kReevaluate) {
     // Evaluate the hypothetical assignment, then restore the mirror and the
     // cached values without a second evaluation; the cached EvalResult is
     // refreshed lazily if per-user throughputs are queried before the next
@@ -360,10 +460,6 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     if (to == Assignment::kUnassigned) {
       mirror_.Unassign(user);
     } else {
-      if (static_cast<std::size_t>(to) >= load_.size() ||
-          net_->WifiRate(user, static_cast<std::size_t>(to)) <= 0.0) {
-        throw std::invalid_argument("move to unreachable extender");
-      }
       mirror_.Assign(user, static_cast<std::size_t>(to));
     }
     RecomputeFallback();
@@ -378,12 +474,28 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     return peeked;
   }
 
-  const std::size_t num_ext = load_.size();
-  const double* inv = &inv_rate_[user * num_ext];
   std::size_t cells[2];
   int peek_load[2];
-  double peek_demand[2];
+  double peek_value[2];  // kExact: harmonic sum; kDelta: WiFi demand
   std::size_t count = 0;
+  if (regime_ == Regime::kExact) {
+    if (from != Assignment::kUnassigned) {
+      const std::size_t f = static_cast<std::size_t>(from);
+      cells[count] = f;
+      peek_load[count] = load_[f] - 1;
+      peek_value[count++] = CellSum(f, user, kNoUser);
+    }
+    if (to != Assignment::kUnassigned) {
+      const std::size_t t = static_cast<std::size_t>(to);
+      cells[count] = t;
+      peek_load[count] = load_[t] + 1;
+      peek_value[count++] = CellSum(t, kNoUser, user);
+    }
+    return PeekExact(cells, peek_load, peek_value, count);
+  }
+
+  const std::size_t num_ext = load_.size();
+  const double* inv = &inv_rate_[user * num_ext];
   if (from != Assignment::kUnassigned) {
     const std::size_t f = static_cast<std::size_t>(from);
     const int n = load_[f] - 1;
@@ -391,32 +503,27 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     if (n == 0) s = 0.0;  // kill accumulated error, as ApplyMove does
     cells[count] = f;
     peek_load[count] = n;
-    peek_demand[count] =
+    peek_value[count] =
         (n > 0 && plc_rate_[f] > 0.0) ? static_cast<double>(n) / s : 0.0;
     ++count;
   }
   if (to != Assignment::kUnassigned) {
     const std::size_t t = static_cast<std::size_t>(to);
-    if (t >= num_ext || inv[t] <= 0.0) {
-      throw std::invalid_argument("move to unreachable extender");
-    }
     const int n = load_[t] + 1;
     cells[count] = t;
     peek_load[count] = n;
-    peek_demand[count] = plc_rate_[t] > 0.0
-                             ? static_cast<double>(n) / (inv_sum_[t] + inv[t])
-                             : 0.0;
+    peek_value[count] = plc_rate_[t] > 0.0
+                            ? static_cast<double>(n) / (inv_sum_[t] + inv[t])
+                            : 0.0;
     ++count;
   }
-  if (count == 0) return values_;
-  return PeekCells(cells, peek_load, peek_demand, count);
+  return PeekCells(cells, peek_load, peek_value, count);
 }
 
 IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
                                                  std::size_t u2) {
-  if (u1 >= ext_of_.size() || u2 >= ext_of_.size()) {
-    throw std::invalid_argument("unknown user");
-  }
+  CheckUser(u1);
+  CheckUser(u2);
   const int e1 = ext_of_[u1];
   const int e2 = ext_of_[u2];
   if (e1 == Assignment::kUnassigned || e2 == Assignment::kUnassigned) {
@@ -426,7 +533,7 @@ IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
   const std::size_t x1 = static_cast<std::size_t>(e1);
   const std::size_t x2 = static_cast<std::size_t>(e2);
 
-  if (!incremental_) {
+  if (regime_ == Regime::kReevaluate) {
     const IncrementalValues saved = values_;
     if (net_->WifiRate(u1, x2) <= 0.0 || net_->WifiRate(u2, x1) <= 0.0) {
       throw std::invalid_argument("swap to unreachable extender");
@@ -451,6 +558,10 @@ IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
   // Loads are unchanged by an exchange; only the harmonic sums move.
   const std::size_t cells[2] = {x1, x2};
   const int peek_load[2] = {load_[x1], load_[x2]};
+  if (regime_ == Regime::kExact) {
+    const double peek_sum[2] = {CellSum(x1, u1, u2), CellSum(x2, u2, u1)};
+    return PeekExact(cells, peek_load, peek_sum, 2);
+  }
   double peek_demand[2];
   const double s1 = inv_sum_[x1] - inv1[x1] + inv2[x1];
   const double s2 = inv_sum_[x2] - inv2[x2] + inv1[x2];

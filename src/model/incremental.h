@@ -1,33 +1,45 @@
-// Incremental delta-evaluation engine for the Phase-II search.
+// Incremental evaluation engine for the Phase-II search.
 //
 // The Phase-II local search (relocate / swap / greedy-insert moves) needs
 // the objective value of thousands of candidate assignments that each
 // differ from the current one by a single user. Re-running the full
-// Evaluator per candidate costs O(U + E) with ~10 heap allocations; this
-// engine instead maintains the evaluation state as mutable per-extender /
-// per-PLC-domain aggregates:
+// Evaluator per candidate costs O(U + E) with fresh result vectors; this
+// engine keeps the evaluation state as per-extender / per-PLC-domain
+// aggregates and updates only what a move touches. It picks one of three
+// regimes from its inputs (`regime()` reports which):
 //
-//   * per extender: user count n_j and WiFi harmonic sum (so T_WiFi_j =
-//     n_j / sum 1/r_ij is O(1) to update on a single-user move),
-//   * per PLC contention domain: the max-min (or equal-share) airtime
+//   * kDelta — saturated users, no co-channel WiFi contention. Per
+//     extender it keeps the user count n_j and the WiFi harmonic sum (so
+//     T_WiFi_j = n_j / sum 1/r_ij is O(1) to update on a single-user move);
+//     per PLC contention domain, the max-min (or equal-share) airtime
 //     allocation over its members, recomputed only for the <= 2 domains a
-//     move touches,
-//   * running objective totals: aggregate end-to-end throughput and the
-//     proportional-fairness log-utility, both expressible as sums of
-//     per-extender contributions in the saturated model (every user of
-//     extender j gets end_to_end_j / n_j).
+//     move touches; and running objective totals (aggregate end-to-end
+//     throughput and the proportional-fairness log-utility, both sums of
+//     per-extender contributions in the saturated model, where every user
+//     of extender j gets end_to_end_j / n_j). A move costs O(|domain|).
+//     The totals are kept with += / -=, so they drift from a fresh
+//     Evaluate by a few ULPs; searches compare them with a tolerance.
+//   * kExact — saturated users under co-channel WiFi contention
+//     (EvalOptions::wifi_channel or wifi_contention_domain), aggregate
+//     only. A cell going active or idle changes the airtime of every other
+//     cell in its contention domain, so a move is not separable per PLC
+//     domain. The engine keeps each extender's users in ascending index
+//     order and, per move, re-sums the <= 2 touched cells' harmonic sums in
+//     the order Evaluate sums them, then runs one O(E) pass with
+//     Evaluate's own expressions in its order: active cells per contention
+//     domain, each cell's demand, the airtime shares per PLC domain, and
+//     the aggregate summed by extender index. Every value it reports —
+//     aggregate_mbps(), peeks and UserThroughput() — is bit-identical to
+//     Evaluator::Evaluate of the same assignment. The contention domains
+//     come from Evaluator::ResolveWifiDomains.
+//   * kReevaluate — some user carries a finite demand (demand-capped
+//     allocations couple users within a cell), or co-channel contention
+//     with log-utility tracking. Each move runs a full, allocation-free
+//     Evaluate through a reused EvalScratch.
 //
-// A single-user move therefore costs O(|domain|) with zero allocations
-// instead of O(U x E) with fresh vectors.
-//
-// Exact-fallback: when per-user demand caps or co-channel WiFi contention
-// are in play, a move's effect is not separable per extender (a cell going
-// active/idle changes OTHER cells' airtime in its WiFi contention domain,
-// and demand-capped allocations couple users within a cell). In those
-// configurations the engine transparently falls back to a full — but
-// allocation-free, via a reused EvalScratch — re-evaluation per move, so
-// callers get identical semantics either way. `incremental()` reports
-// which regime is active.
+// Callers get the same semantics in every regime: every entry point that
+// takes a user index throws std::invalid_argument("unknown user") for one
+// >= NumUsers(), and every move target is validated the same way.
 #pragma once
 
 #include <cstddef>
@@ -64,9 +76,9 @@ class IncrementalEvaluator {
                        double log_floor_mbps = kDefaultLogFloorMbps,
                        bool track_log_utility = true);
 
-  // True when moves are applied via O(|domain|) delta updates; false when
-  // the exact-fallback (full re-evaluation per move) is active.
-  bool incremental() const { return incremental_; }
+  // How moves are evaluated; chosen from the inputs (see the file comment).
+  enum class Regime { kDelta, kExact, kReevaluate };
+  Regime regime() const { return regime_; }
 
   double aggregate_mbps() const { return values_.aggregate_mbps; }
   double log_utility() const;
@@ -80,18 +92,18 @@ class IncrementalEvaluator {
   int Load(std::size_t ext) const { return load_[ext]; }
 
   // End-to-end throughput of `user` under the current assignment (0 when
-  // unassigned or behind a dead backhaul). Non-const: the fallback path may
-  // need to refresh its cached evaluation.
+  // unassigned or behind a dead backhaul). Non-const: the kReevaluate
+  // regime may need to refresh its cached evaluation.
   double UserThroughput(std::size_t user);
 
   // Move `user` to extender `to`, or detach it with
   // Assignment::kUnassigned. Throws std::invalid_argument for an unknown
-  // extender or one the user cannot reach. No-op if `to` is the user's
-  // current extender.
+  // user, an unknown extender or one the user cannot reach. No-op if `to`
+  // is the user's current extender.
   void ApplyMove(std::size_t user, int to);
 
   // Objective values the assignment would have after moving `user` to
-  // `to`, without changing the engine state.
+  // `to`, without changing the engine state. Throws like ApplyMove.
   IncrementalValues PeekMove(std::size_t user, int to);
 
   // Objective values the assignment would have after users u1 and u2
@@ -105,6 +117,13 @@ class IncrementalEvaluator {
   IncrementalValues MoveDelta(std::size_t user, int to);
 
  private:
+  // Throw std::invalid_argument unless `user` is known / `to` is a legal
+  // target for it (kUnassigned or a reachable extender).
+  void CheckUser(std::size_t user) const;
+  void CheckTarget(std::size_t user, int to) const;
+  // Airtime shares of one PLC domain's members under options_.plc_sharing.
+  void ShareAirtime(const int* members, std::size_t count,
+                    const double* demand, double* time_share);
   void RecomputeDomain(std::size_t domain);
   void ContributionOf(std::size_t ext, const double* time_share, double* agg,
                       double* log) const;
@@ -117,18 +136,31 @@ class IncrementalEvaluator {
                               const int* peek_load,
                               const double* peek_demand, std::size_t count);
 
+  // kExact: harmonic sum of `cell`'s users with `drop` left out and `add`
+  // put in (kNoUser for neither), summed in ascending user order.
+  double CellSum(std::size_t cell, std::size_t drop, std::size_t add) const;
+  // kExact: Evaluate's per-extender pass over load_ and inv_sum_, writing
+  // each cell's demand and airtime share; returns the aggregate.
+  double ExactPass(double* demand, double* time_share);
+  // kExact: the aggregate with up to two cells temporarily holding the
+  // given (load, harmonic sum); committed state is untouched.
+  IncrementalValues PeekExact(const std::size_t* cells, const int* peek_load,
+                              const double* peek_sum, std::size_t count);
+
+  static constexpr std::size_t kNoUser = static_cast<std::size_t>(-1);
+
   const Network* net_;
   EvalOptions options_;
   double log_floor_;
   double log_of_floor_;
-  bool incremental_ = true;
+  Regime regime_ = Regime::kDelta;
   bool track_log_ = true;
   std::uint64_t mutations_ = 0;
   IncrementalValues values_;
 
   std::vector<int> ext_of_;
 
-  // --- Incremental-mode state -------------------------------------------
+  // --- kDelta and kExact state ------------------------------------------
   std::vector<int> load_;
   std::vector<double> inv_sum_;
   std::vector<double> wifi_demand_;
@@ -145,7 +177,14 @@ class IncrementalEvaluator {
   std::vector<std::size_t> mm_idx_;  // max-min scratch
   std::vector<double> peek_ts_;      // time-share scratch for peeks
 
-  // --- Fallback-mode state ----------------------------------------------
+  // --- kExact state ------------------------------------------------------
+  std::vector<std::vector<std::size_t>> members_;  // users per extender,
+                                                   // ascending
+  std::vector<int> wifi_domain_;     // contention domain per extender
+  std::vector<int> wifi_active_;     // active cells per contention domain
+  std::vector<double> peek_demand_;  // demand scratch for peeks
+
+  // --- kReevaluate state (the evaluator also resolves kExact's domains) --
   Evaluator evaluator_;
   Assignment mirror_;
   EvalScratch scratch_;

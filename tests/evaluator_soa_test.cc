@@ -3,7 +3,8 @@
 // suite uses — dead backhauls, multiple PLC domains, partial reachability,
 // finite demands, unassigned users), Evaluator::Evaluate must produce a
 // result BIT-IDENTICAL to Evaluator::EvaluateReference in every field,
-// under all three PLC sharing modes and with WiFi co-channel contention.
+// under all three PLC sharing modes, with explicit WiFi co-channel
+// contention domains and with channel plans (domains derived from geometry).
 // No tolerances anywhere: the SoA kernel is a layout change, not a
 // numerical one, so any ULP of drift is a bug.
 //
@@ -159,6 +160,31 @@ TEST_P(EvaluatorSoaTest, BitIdenticalUnderWifiContention) {
     const EvalResult ref =
         evaluator.EvaluateReference(s.net, s.assign, ref_scratch);
     ExpectBitIdentical(fast, ref, "contention scenario " + std::to_string(k));
+  }
+}
+
+TEST_P(EvaluatorSoaTest, BitIdenticalUnderChannelPlan) {
+  util::Rng rng(0xc4a0 + static_cast<std::uint64_t>(GetParam()) * 977u);
+  EvalScratch fast_scratch;
+  EvalScratch ref_scratch;
+  const double ranges[] = {0.0, 30.0, 60.0, 200.0};
+  for (int k = 0; k < kNumScenarios / 3; ++k) {
+    Scenario s = RandomScenario(rng, /*with_demands=*/k % 2 == 0);
+    EvalOptions opts;
+    opts.plc_sharing = GetParam();
+    const int channels = rng.UniformInt(1, 3);
+    opts.wifi_channel.resize(s.net.NumExtenders());
+    for (std::size_t j = 0; j < s.net.NumExtenders(); ++j) {
+      s.net.SetExtenderPosition(
+          j, {rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)});
+      opts.wifi_channel[j] = rng.UniformInt(0, channels - 1);
+    }
+    opts.carrier_sense_range_m = ranges[rng.UniformInt(0, 3)];
+    Evaluator evaluator(opts);
+    const EvalResult fast = evaluator.Evaluate(s.net, s.assign, fast_scratch);
+    const EvalResult ref =
+        evaluator.EvaluateReference(s.net, s.assign, ref_scratch);
+    ExpectBitIdentical(fast, ref, "channel-plan scenario " + std::to_string(k));
   }
 }
 

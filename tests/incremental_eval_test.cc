@@ -1,15 +1,23 @@
-// Differential test for the incremental delta-evaluation engine: on
-// randomized networks, a long random sequence of ApplyMove calls must keep
-// the engine's objective values and per-user throughputs in lockstep with a
-// fresh Evaluator::Evaluate of the same assignment (within 1e-9), across
-// all three PLC sharing modes, multi-domain PLC segments, and the
-// exact-fallback configurations (per-user demands, co-channel WiFi
-// contention). Peeks (PeekMove / PeekSwap) must match the value a real
-// apply would produce and leave the engine state untouched.
+// Differential test for the incremental evaluation engine: on randomized
+// networks, a long random sequence of ApplyMove calls must keep the
+// engine's objective values and per-user throughputs in lockstep with a
+// fresh Evaluator::Evaluate of the same assignment, across all three PLC
+// sharing modes and multi-domain PLC segments, in every regime. The
+// saturated contention-free delta regime may drift by a few ULPs (checked
+// within 1e-9). The co-channel regime (channel plans and explicit contention
+// domains, aggregate only) must be bit-identical to Evaluate after every
+// peek and apply. Per-user demands, and co-channel engines that track log
+// utility, take the full re-evaluation regime. Peeks (PeekMove / PeekSwap)
+// must match the value a real apply would produce and leave the engine
+// state untouched. Every entry point rejects an unknown user in every
+// regime.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "model/assignment.h"
@@ -112,14 +120,16 @@ double LogUtilityOf(const EvalResult& res, const Assignment& assign,
 
 void ExpectMatchesFresh(IncrementalEvaluator& inc, const Network& net,
                         const Assignment& assign, const Evaluator& evaluator,
-                        const char* where) {
+                        const char* where, bool track_log = true) {
   const EvalResult fresh = evaluator.Evaluate(net, assign);
   EXPECT_NEAR(inc.aggregate_mbps(), fresh.aggregate_mbps, kTol) << where;
-  EXPECT_NEAR(inc.log_utility(),
-              LogUtilityOf(fresh, assign,
-                           IncrementalEvaluator::kDefaultLogFloorMbps),
-              kTol)
-      << where;
+  if (track_log) {
+    EXPECT_NEAR(inc.log_utility(),
+                LogUtilityOf(fresh, assign,
+                             IncrementalEvaluator::kDefaultLogFloorMbps),
+                kTol)
+        << where;
+  }
   for (std::size_t i = 0; i < net.NumUsers(); ++i) {
     EXPECT_NEAR(inc.UserThroughput(i), fresh.user_throughput_mbps[i], kTol)
         << where << " user " << i;
@@ -156,18 +166,22 @@ bool RandomMove(const Network& net, const Assignment& assign, util::Rng& rng,
 
 TEST(IncrementalEvalDifferential, RandomScenariosMatchFreshEvaluate) {
   util::Rng rng(20260806);
-  int fallback_scenarios = 0;
-  int incremental_scenarios = 0;
+  int regime_scenarios[3] = {0, 0, 0};  // indexed by Regime
   for (int scenario = 0; scenario < 200; ++scenario) {
     const ScenarioConfig cfg = RandomConfig(rng);
     const Network net = RandomNetwork(cfg, rng);
     const EvalOptions opt = OptionsFor(cfg, rng);
     Assignment assign = RandomAssignment(net, rng);
 
+    // Half the co-channel engines track log utility (full re-evaluation),
+    // half consume the aggregate only (the exact regime).
+    const bool track_log = !cfg.with_wifi_contention || scenario % 2 == 0;
     const Evaluator evaluator(opt);
-    IncrementalEvaluator inc(net, assign, opt);
-    (inc.incremental() ? incremental_scenarios : fallback_scenarios)++;
-    ExpectMatchesFresh(inc, net, assign, evaluator, "initial");
+    IncrementalEvaluator inc(net, assign, opt,
+                             IncrementalEvaluator::kDefaultLogFloorMbps,
+                             track_log);
+    ++regime_scenarios[static_cast<int>(inc.regime())];
+    ExpectMatchesFresh(inc, net, assign, evaluator, "initial", track_log);
 
     const int moves = rng.UniformInt(5, 30);
     for (int mv = 0; mv < moves; ++mv) {
@@ -187,17 +201,24 @@ TEST(IncrementalEvalDifferential, RandomScenariosMatchFreshEvaluate) {
         assign.Assign(user, static_cast<std::size_t>(to));
       }
       EXPECT_NEAR(peeked.aggregate_mbps, inc.aggregate_mbps(), kTol);
-      EXPECT_NEAR(peeked.log_utility, inc.log_utility(), kTol);
+      if (track_log) {
+        EXPECT_NEAR(peeked.log_utility, inc.log_utility(), kTol);
+      }
 
       if (mv % 7 == 0) {
-        ExpectMatchesFresh(inc, net, assign, evaluator, "mid-sequence");
+        ExpectMatchesFresh(inc, net, assign, evaluator, "mid-sequence",
+                           track_log);
       }
     }
-    ExpectMatchesFresh(inc, net, assign, evaluator, "final");
+    ExpectMatchesFresh(inc, net, assign, evaluator, "final", track_log);
   }
-  // The generator must exercise both regimes.
-  EXPECT_GT(incremental_scenarios, 0);
-  EXPECT_GT(fallback_scenarios, 0);
+  // The generator must exercise every regime.
+  EXPECT_GT(regime_scenarios[static_cast<int>(
+                IncrementalEvaluator::Regime::kDelta)], 0);
+  EXPECT_GT(regime_scenarios[static_cast<int>(
+                IncrementalEvaluator::Regime::kExact)], 0);
+  EXPECT_GT(regime_scenarios[static_cast<int>(
+                IncrementalEvaluator::Regime::kReevaluate)], 0);
 }
 
 TEST(IncrementalEvalDifferential, PeekSwapMatchesAppliedExchange) {
@@ -299,6 +320,201 @@ TEST(IncrementalEvalDifferential, MutationsCountsStateChanges) {
   EXPECT_GT(inc.mutations(), m0);
   inc.ApplyMove(user, to);  // no-op move: same target
   EXPECT_EQ(inc.mutations(), m0 + 1);
+}
+
+TEST(IncrementalEvalDifferential, EveryEntryPointRejectsUnknownUser) {
+  util::Rng rng(31);
+  const ScenarioConfig cfg{10, 4, PlcSharing::kMaxMinActive, 2, false, false};
+  const Network net = RandomNetwork(cfg, rng);
+  Assignment assign(net.NumUsers());
+  for (std::size_t i = 0; i < net.NumUsers(); ++i) {
+    for (std::size_t j = 0; j < net.NumExtenders(); ++j) {
+      if (net.WifiRate(i, j) > 0.0) {
+        assign.Assign(i, j);
+        break;
+      }
+    }
+  }
+  Network demand_net = net;
+  demand_net.SetUserDemand(0, 5.0);
+  EvalOptions contention;
+  contention.wifi_contention_domain = {0, 0, 1, 1};
+
+  using Regime = IncrementalEvaluator::Regime;
+  struct Case {
+    const Network* net;
+    EvalOptions opt;
+    bool track_log;
+    Regime want;
+  };
+  const Case cases[] = {{&net, {}, true, Regime::kDelta},
+                        {&net, contention, false, Regime::kExact},
+                        {&net, contention, true, Regime::kReevaluate},
+                        {&demand_net, {}, true, Regime::kReevaluate}};
+  const std::size_t bad = net.NumUsers();
+  for (const Case& c : cases) {
+    IncrementalEvaluator inc(*c.net, assign, c.opt,
+                             IncrementalEvaluator::kDefaultLogFloorMbps,
+                             c.track_log);
+    ASSERT_EQ(inc.regime(), c.want);
+    EXPECT_THROW(inc.UserThroughput(bad), std::invalid_argument);
+    EXPECT_THROW(inc.PeekMove(bad, 0), std::invalid_argument);
+    EXPECT_THROW(inc.PeekMove(bad, Assignment::kUnassigned),
+                 std::invalid_argument);
+    EXPECT_THROW(inc.MoveDelta(bad, 0), std::invalid_argument);
+    EXPECT_THROW(inc.ApplyMove(bad, 0), std::invalid_argument);
+    EXPECT_THROW(inc.PeekSwap(bad, 0), std::invalid_argument);
+    EXPECT_THROW(inc.PeekSwap(0, bad), std::invalid_argument);
+    EXPECT_EQ(inc.mutations(), 0u);
+  }
+}
+
+// --- Co-channel exact regime ---------------------------------------------
+
+// Co-channel options for `cfg`: a random channel plan over 1-3 channels with
+// a varied carrier-sense range, or explicit contention domains (ids with
+// gaps).
+EvalOptions CoChannelOptions(const ScenarioConfig& cfg, bool channel_plan,
+                             util::Rng& rng) {
+  EvalOptions opt;
+  opt.plc_sharing = cfg.sharing;
+  if (channel_plan) {
+    const int channels = rng.UniformInt(1, 3);
+    opt.wifi_channel.resize(cfg.num_extenders);
+    for (int& c : opt.wifi_channel) c = rng.UniformInt(0, channels - 1);
+    const double ranges[] = {0.0, 25.0, 60.0, 200.0};
+    opt.carrier_sense_range_m = ranges[rng.UniformInt(0, 3)];
+  } else {
+    opt.wifi_contention_domain.resize(cfg.num_extenders);
+    for (int& d : opt.wifi_contention_domain) d = 2 * rng.UniformInt(0, 2);
+  }
+  return opt;
+}
+
+// Every value the engine reports equals a fresh Evaluate's, to the bit.
+void ExpectBitIdentical(IncrementalEvaluator& inc, const Network& net,
+                        const Assignment& assign, const Evaluator& evaluator,
+                        EvalScratch& scratch, const std::string& where) {
+  const EvalResult& fresh = evaluator.Evaluate(net, assign, scratch);
+  EXPECT_EQ(inc.aggregate_mbps(), fresh.aggregate_mbps) << where;
+  for (std::size_t i = 0; i < net.NumUsers(); ++i) {
+    EXPECT_EQ(inc.UserThroughput(i), fresh.user_throughput_mbps[i])
+        << where << " user " << i;
+  }
+}
+
+TEST(IncrementalEvalCoChannel, BitIdenticalToEvaluateAfterEveryPeekAndApply) {
+  const PlcSharing modes[] = {PlcSharing::kMaxMinActive,
+                              PlcSharing::kEqualActive, PlcSharing::kEqualAll};
+  util::Rng rng(0xc0c4);
+  int contended = 0, dead = 0, unassigns = 0, swaps = 0;
+  for (int scenario = 0; scenario < 150; ++scenario) {
+    ScenarioConfig cfg;
+    cfg.num_users = static_cast<std::size_t>(rng.UniformInt(2, 40));
+    cfg.num_extenders = static_cast<std::size_t>(rng.UniformInt(2, 8));
+    cfg.sharing = modes[scenario % 3];
+    cfg.plc_domains = 1 + (scenario / 3) % 3;
+    Network net = RandomNetwork(cfg, rng);
+    for (std::size_t j = 0; j < cfg.num_extenders; ++j) {
+      net.SetExtenderPosition(
+          j, {rng.Uniform(0.0, 120.0), rng.Uniform(0.0, 120.0)});
+      if (net.PlcRate(j) <= 0.0) ++dead;
+    }
+    const EvalOptions opt = CoChannelOptions(cfg, scenario % 2 == 0, rng);
+    Assignment assign = RandomAssignment(net, rng);
+
+    const Evaluator evaluator(opt);
+    EvalScratch scratch;
+    const std::vector<int> domains =
+        *evaluator.ResolveWifiDomains(net, scratch);
+    if (std::set<int>(domains.begin(), domains.end()).size() <
+        domains.size()) {
+      ++contended;
+    }
+    IncrementalEvaluator inc(net, assign, opt,
+                             IncrementalEvaluator::kDefaultLogFloorMbps,
+                             /*track_log_utility=*/false);
+    ASSERT_EQ(inc.regime(), IncrementalEvaluator::Regime::kExact);
+    const std::string where = "scenario " + std::to_string(scenario);
+    ExpectBitIdentical(inc, net, assign, evaluator, scratch, where);
+
+    const int moves = rng.UniformInt(5, 30);
+    for (int mv = 0; mv < moves; ++mv) {
+      const std::string step = where + " step " + std::to_string(mv);
+      const std::size_t u1 = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<int>(net.NumUsers()) - 1));
+      const std::size_t u2 = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<int>(net.NumUsers()) - 1));
+      const int e1 = assign.ExtenderOf(u1);
+      const int e2 = assign.ExtenderOf(u2);
+      if (e1 >= 0 && e2 >= 0 && e1 != e2 &&
+          net.WifiRate(u1, static_cast<std::size_t>(e2)) > 0.0 &&
+          net.WifiRate(u2, static_cast<std::size_t>(e1)) > 0.0) {
+        Assignment swapped = assign;
+        swapped.Assign(u1, static_cast<std::size_t>(e2));
+        swapped.Assign(u2, static_cast<std::size_t>(e1));
+        const double peeked = inc.PeekSwap(u1, u2).aggregate_mbps;
+        EXPECT_EQ(peeked,
+                  evaluator.Evaluate(net, swapped, scratch).aggregate_mbps)
+            << step << " swap peek";
+        ExpectBitIdentical(inc, net, assign, evaluator, scratch,
+                           step + " after swap peek");
+        ++swaps;
+      }
+
+      std::size_t user = 0;
+      int to = Assignment::kUnassigned;
+      if (!RandomMove(net, assign, rng, &user, &to)) break;
+      Assignment moved = assign;
+      if (to == Assignment::kUnassigned) {
+        moved.Unassign(user);
+        ++unassigns;
+      } else {
+        moved.Assign(user, static_cast<std::size_t>(to));
+      }
+      const double peeked = inc.PeekMove(user, to).aggregate_mbps;
+      EXPECT_EQ(peeked, evaluator.Evaluate(net, moved, scratch).aggregate_mbps)
+          << step << " move peek";
+      ExpectBitIdentical(inc, net, assign, evaluator, scratch,
+                         step + " after move peek");
+      inc.ApplyMove(user, to);
+      assign = moved;
+      ExpectBitIdentical(inc, net, assign, evaluator, scratch,
+                         step + " after apply");
+    }
+  }
+  EXPECT_GT(contended, 50);
+  EXPECT_GT(dead, 0);
+  EXPECT_GT(unassigns, 50);
+  EXPECT_GT(swaps, 50);
+}
+
+TEST(IncrementalEvalCoChannel, RejectsMalformedOptionsLikeEvaluate) {
+  util::Rng rng(21);
+  const ScenarioConfig cfg{10, 4, PlcSharing::kMaxMinActive, 1, false, false};
+  const Network net = RandomNetwork(cfg, rng);
+  const Assignment assign = RandomAssignment(net, rng);
+
+  std::vector<EvalOptions> malformed(5);
+  malformed[0].wifi_channel = {0, 1, 2};             // plan size mismatch
+  malformed[1].wifi_contention_domain = {0, 0};      // domain size mismatch
+  malformed[2].wifi_channel = {0, -1, 1, 0};         // negative channel
+  malformed[3].wifi_channel = {0, 1, 2, 0};          // both modes set
+  malformed[3].wifi_contention_domain = {0, 0, 1, 1};
+  malformed[4].wifi_channel = {0, 1, 2, 0};          // negative range
+  malformed[4].carrier_sense_range_m = -1.0;
+  for (std::size_t k = 0; k < malformed.size(); ++k) {
+    EXPECT_THROW(Evaluator(malformed[k]).Evaluate(net, assign),
+                 std::invalid_argument)
+        << "case " << k;
+    for (const bool track_log : {false, true}) {
+      EXPECT_THROW(IncrementalEvaluator(
+                       net, assign, malformed[k],
+                       IncrementalEvaluator::kDefaultLogFloorMbps, track_log),
+                   std::invalid_argument)
+          << "case " << k << " track_log " << track_log;
+    }
+  }
 }
 
 }  // namespace
