@@ -38,8 +38,9 @@
 //     Evaluate through a reused EvalScratch.
 //
 // Callers get the same semantics in every regime: every entry point that
-// takes a user index throws std::invalid_argument("unknown user") for one
-// >= NumUsers(), and every move target is validated the same way.
+// takes a user index throws std::invalid_argument("unknown user") for an
+// index >= the network's NumUsers(), and every move target is validated the
+// same way.
 #pragma once
 
 #include <cstddef>
@@ -88,7 +89,10 @@ class IncrementalEvaluator {
   // scan needs no repeat while this is unchanged (peeks do not mutate).
   std::uint64_t mutations() const { return mutations_; }
 
-  int ExtenderOf(std::size_t user) const { return ext_of_[user]; }
+  int ExtenderOf(std::size_t user) const {
+    CheckUser(user);
+    return ext_of_[user];
+  }
   int Load(std::size_t ext) const { return load_[ext]; }
 
   // End-to-end throughput of `user` under the current assignment (0 when

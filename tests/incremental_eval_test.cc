@@ -357,6 +357,7 @@ TEST(IncrementalEvalDifferential, EveryEntryPointRejectsUnknownUser) {
                              IncrementalEvaluator::kDefaultLogFloorMbps,
                              c.track_log);
     ASSERT_EQ(inc.regime(), c.want);
+    EXPECT_THROW(inc.ExtenderOf(bad), std::invalid_argument);
     EXPECT_THROW(inc.UserThroughput(bad), std::invalid_argument);
     EXPECT_THROW(inc.PeekMove(bad, 0), std::invalid_argument);
     EXPECT_THROW(inc.PeekMove(bad, Assignment::kUnassigned),
