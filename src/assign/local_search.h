@@ -12,8 +12,11 @@
 // All three objectives are evaluated incrementally per candidate move: the
 // WiFi-sum objective via O(1) harmonic-sum deltas, the end-to-end and
 // proportional-fair objectives via model::IncrementalEvaluator (O(|PLC
-// domain|) per move, no allocations). No full evaluator run happens inside
-// the relocate/swap inner loops.
+// domain|) per move without co-channel contention, O(cell + E) with it; no
+// allocations). No full evaluator run happens inside the relocate/swap
+// inner loops, except when users carry demands or the proportional-fair
+// objective runs under co-channel contention (the engine's kReevaluate
+// regime).
 #pragma once
 
 #include <cstddef>
