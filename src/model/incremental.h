@@ -68,10 +68,12 @@ class IncrementalEvaluator {
 
   // Builds the engine state from `assign` (validated like
   // Evaluator::Evaluate: assigned users must have positive WiFi rate to a
-  // known extender). `net` must outlive the engine. Passing
-  // `track_log_utility = false` skips the per-extender log bookkeeping
-  // (one transcendental per domain member per move) for searches that only
-  // consume the aggregate; log_utility() then throws.
+  // known extender; malformed co-channel options throw as Evaluate does).
+  // `net` must outlive the engine. Passing `track_log_utility = false`
+  // skips the per-extender log bookkeeping (one transcendental per domain
+  // member per move) for searches that only consume the aggregate, and
+  // lets a co-channel engine take the kExact regime; log_utility() then
+  // throws.
   IncrementalEvaluator(const Network& net, const Assignment& assign,
                        EvalOptions options = {},
                        double log_floor_mbps = kDefaultLogFloorMbps,
@@ -170,8 +172,8 @@ class IncrementalEvaluator {
   std::vector<double> wifi_demand_;
   std::vector<double> plc_rate_;
   std::vector<double> time_share_;
-  std::vector<double> contrib_agg_;
-  std::vector<double> contrib_log_;
+  std::vector<double> contrib_agg_;  // kDelta only
+  std::vector<double> contrib_log_;  // kDelta only
   // 1 / r_ij, row-major; 0 when user i cannot reach extender j.
   std::vector<double> inv_rate_;
   // CSR grouping of extenders by PLC domain.
@@ -182,8 +184,8 @@ class IncrementalEvaluator {
   std::vector<double> peek_ts_;      // time-share scratch for peeks
 
   // --- kExact state ------------------------------------------------------
-  std::vector<std::vector<std::size_t>> members_;  // users per extender,
-                                                   // ascending
+  // Users of each extender, ascending.
+  std::vector<std::vector<std::size_t>> members_;
   std::vector<int> wifi_domain_;     // contention domain per extender
   std::vector<int> wifi_active_;     // active cells per contention domain
   std::vector<double> peek_demand_;  // demand scratch for peeks
