@@ -172,6 +172,8 @@ class Evaluator {
   double AggregateThroughput(const Network& net,
                              const Assignment& assign) const;
 
+  const EvalOptions& options() const { return options_; }
+
   // Resolves the per-extender co-channel WiFi contention domains for this
   // evaluation, or nullptr when neither wifi_contention_domain nor
   // wifi_channel is set (the paper's orthogonal assumption). Explicit
@@ -183,8 +185,6 @@ class Evaluator {
   // exactly the domains Evaluate uses.
   const std::vector<int>* ResolveWifiDomains(const Network& net,
                                              EvalScratch& scratch) const;
-
-  const EvalOptions& options() const { return options_; }
 
  private:
   EvalOptions options_;

@@ -474,37 +474,25 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     return peeked;
   }
 
+  const bool exact = regime_ == Regime::kExact;
+  const double* inv = &inv_rate_[user * load_.size()];
   std::size_t cells[2];
   int peek_load[2];
   double peek_value[2];  // kExact: harmonic sum; kDelta: WiFi demand
   std::size_t count = 0;
-  if (regime_ == Regime::kExact) {
-    if (from != Assignment::kUnassigned) {
-      const std::size_t f = static_cast<std::size_t>(from);
-      cells[count] = f;
-      peek_load[count] = load_[f] - 1;
-      peek_value[count++] = CellSum(f, user, kNoUser);
-    }
-    if (to != Assignment::kUnassigned) {
-      const std::size_t t = static_cast<std::size_t>(to);
-      cells[count] = t;
-      peek_load[count] = load_[t] + 1;
-      peek_value[count++] = CellSum(t, kNoUser, user);
-    }
-    return PeekExact(cells, peek_load, peek_value, count);
-  }
-
-  const std::size_t num_ext = load_.size();
-  const double* inv = &inv_rate_[user * num_ext];
   if (from != Assignment::kUnassigned) {
     const std::size_t f = static_cast<std::size_t>(from);
     const int n = load_[f] - 1;
-    double s = inv_sum_[f] - inv[f];
-    if (n == 0) s = 0.0;  // kill accumulated error, as ApplyMove does
     cells[count] = f;
     peek_load[count] = n;
-    peek_value[count] =
-        (n > 0 && plc_rate_[f] > 0.0) ? static_cast<double>(n) / s : 0.0;
+    if (exact) {
+      peek_value[count] = CellSum(f, user, kNoUser);
+    } else {
+      double s = inv_sum_[f] - inv[f];
+      if (n == 0) s = 0.0;  // kill accumulated error, as ApplyMove does
+      peek_value[count] =
+          (n > 0 && plc_rate_[f] > 0.0) ? static_cast<double>(n) / s : 0.0;
+    }
     ++count;
   }
   if (to != Assignment::kUnassigned) {
@@ -512,12 +500,17 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     const int n = load_[t] + 1;
     cells[count] = t;
     peek_load[count] = n;
-    peek_value[count] = plc_rate_[t] > 0.0
-                            ? static_cast<double>(n) / (inv_sum_[t] + inv[t])
-                            : 0.0;
+    if (exact) {
+      peek_value[count] = CellSum(t, kNoUser, user);
+    } else {
+      peek_value[count] =
+          plc_rate_[t] > 0.0 ? static_cast<double>(n) / (inv_sum_[t] + inv[t])
+                             : 0.0;
+    }
     ++count;
   }
-  return PeekCells(cells, peek_load, peek_value, count);
+  return exact ? PeekExact(cells, peek_load, peek_value, count)
+               : PeekCells(cells, peek_load, peek_value, count);
 }
 
 IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
