@@ -7,7 +7,8 @@
 # points under TSan), the fig6a_cdf.csv and joint-sweep (--channels=3)
 # goldens, a parallel-determinism smoke (a 4-thread sweep must emit
 # byte-identical CSV to a 1-thread sweep), a chaos smoke checked against its
-# committed table, the repository benchmark's output checks (perfbench/),
+# committed table, the Fig. 6b/6c online-epoch goldens, the repository
+# benchmark's output checks (perfbench/),
 # and two perf gates (obs hooks <= 5%, Vfs storage seam <= 1%). Run from
 # anywhere; everything happens at the repo root.
 #
@@ -258,6 +259,17 @@ echo "==> chaos smoke: 10-seed soak with invariant gate (4 threads)"
 ./build/bench/bench_chaos_soak 10 4 | tee /tmp/wolt_chaos_soak.txt
 cmp /tmp/wolt_chaos_soak.txt tests/data/chaos_soak/ten_seeds.txt
 rm -f /tmp/wolt_chaos_soak.txt
+
+echo "==> golden: Fig. 6b and Fig. 6c online epochs == the committed copies"
+# sim::RunDynamicSimulation's Poisson birth-death driver (paper §V-E). The
+# tables carry no timings; written by this default-preset build, they pin
+# every epoch re-association of WOLT, WOLT-S, Greedy and RSSI.
+online_dir="$(mktemp -d)"
+./build/bench/bench_fig6b_online_epochs >"${online_dir}/fig6b.txt"
+./build/bench/bench_fig6c_reassignments >"${online_dir}/fig6c.txt"
+cmp "${online_dir}/fig6b.txt" tests/data/online_epochs/fig6b.txt
+cmp "${online_dir}/fig6c.txt" tests/data/online_epochs/fig6c.txt
+rm -rf "${online_dir}"
 
 echo "==> benchmark output checks: perfbench selftest + every workload"
 # perfbench/run.py builds the repository benchmark (Release, out of tree)
