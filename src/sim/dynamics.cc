@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "assign/brute_force.h"
 #include "core/wolt.h"
-#include "fault/health.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "sim/des.h"
@@ -41,7 +40,6 @@ std::vector<EpochStats> RunDynamicSimulation(
   EventQueue queue;
   std::size_t arrivals_this_epoch = 0;
   std::size_t departures_this_epoch = 0;
-  std::size_t moves_this_epoch = 0;
 
   // Self-rescheduling arrival process.
   std::function<void()> arrival = [&] {
@@ -67,66 +65,13 @@ std::vector<EpochStats> RunDynamicSimulation(
     queue.ScheduleAfter(rng.Exponential(params.departure_rate), departure);
   }
 
-  // Mobility: teleport a random user and refresh its links. Assignments
-  // that became infeasible are dropped; the policies repair them at the
-  // next epoch boundary.
-  // Backhaul fault injection: the HealthModel owns the ground-truth backhaul
-  // state and applies every transition straight to the shared network, so
-  // each policy's epoch re-association sees the same outages and must
-  // evacuate dead extenders on its own. Constructed only when enabled to
-  // leave the fault-free RNG stream (and all existing results) unchanged.
-  std::unique_ptr<fault::HealthModel> health;
-  if (params.health.any()) {
-    std::vector<double> baselines(net.NumExtenders());
-    for (std::size_t j = 0; j < net.NumExtenders(); ++j) {
-      baselines[j] = net.PlcRate(j);
-    }
-    health = std::make_unique<fault::HealthModel>(std::move(baselines),
-                                                  params.health, rng.Next());
-    health->Schedule(queue, [&net](std::size_t j, double mbps) {
-      net.SetPlcRate(j, mbps);
-    });
-  }
-
-  std::function<void()> move = [&] {
-    if (net.NumUsers() > 0) {
-      const std::size_t mover = static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<int>(net.NumUsers()) - 1));
-      // Shared with the workload mobility kernel, where teleport is the
-      // degenerate infinite-speed model; the kernel preserves this path's
-      // draw order (position, then one shadowing Normal per extender).
-      model::Position pos;
-      const ScenarioGenerator::LinkSample links =
-          MobilityKernel::Teleport(generator, net, &pos, rng);
-      net.SetUserPosition(mover, pos);
-      for (std::size_t j = 0; j < net.NumExtenders(); ++j) {
-        net.SetWifiRate(mover, j, links.rates_mbps[j]);
-        net.SetRssi(mover, j, links.rssi_dbm[j]);
-      }
-      for (auto& a : assignments) {
-        const int e = a.ExtenderOf(mover);
-        if (e != model::Assignment::kUnassigned &&
-            net.WifiRate(mover, static_cast<std::size_t>(e)) <= 0.0) {
-          a.Unassign(mover);
-        }
-      }
-      ++moves_this_epoch;
-    }
-    queue.ScheduleAfter(rng.Exponential(params.move_rate), move);
-  };
-  if (params.move_rate > 0.0) {
-    queue.ScheduleAfter(rng.Exponential(params.move_rate), move);
-  }
-
   std::vector<EpochStats> history;
-  fault::HealthStats last_health;
   for (int epoch = 1; epoch <= params.epochs; ++epoch) {
     // One span per online epoch: drives the fig6b trace recipe
     // (EXPERIMENTS.md). Inert unless a global tracer is installed.
     obs::ScopedTimer epoch_span("dynamics.epoch", "dynamics");
     arrivals_this_epoch = 0;
     departures_this_epoch = 0;
-    moves_this_epoch = 0;
     queue.RunUntil(static_cast<double>(epoch) * params.epoch_length);
 
     EpochStats stats;
@@ -134,15 +79,6 @@ std::vector<EpochStats> RunDynamicSimulation(
     stats.population = net.NumUsers();
     stats.arrivals = arrivals_this_epoch;
     stats.departures = departures_this_epoch;
-    stats.moves = moves_this_epoch;
-    if (health) {
-      const fault::HealthStats& h = health->stats();
-      stats.crashes = h.crashes - last_health.crashes;
-      stats.repairs = h.repairs - last_health.repairs;
-      stats.flaps = h.flaps - last_health.flaps;
-      stats.extenders_down = health->NumDown();
-      last_health = h;
-    }
 
     for (std::size_t p = 0; p < policies.size(); ++p) {
       obs::ScopedTimer policy_span("dynamics.reassociate", "dynamics");
@@ -156,13 +92,6 @@ std::vector<EpochStats> RunDynamicSimulation(
       ps.jain_fairness = util::JainFairnessIndex(eval.user_throughput_mbps);
       ps.reassignments =
           model::Assignment::CountReassignments(before, assignments[p]);
-      for (std::size_t i = 0; i < net.NumUsers(); ++i) {
-        const int e = assignments[p].ExtenderOf(i);
-        if (e != model::Assignment::kUnassigned &&
-            net.PlcRate(static_cast<std::size_t>(e)) <= 0.0) {
-          ++ps.stranded_users;
-        }
-      }
       stats.per_policy.push_back(std::move(ps));
     }
     history.push_back(std::move(stats));

@@ -2,6 +2,9 @@
 // users arrive as a Poisson process and depart at random, the association
 // policies are invoked at epoch boundaries, and per-epoch aggregate
 // throughput / fairness / re-assignment counts are recorded (Figs. 6b, 6c).
+// The driver models static users on healthy backhauls, as the paper does.
+// Mobility runs through GenerateTrace + RunTraceFrontier (below), and
+// backhaul faults through fault::RunChaosScenario and the fleet.
 //
 // Calibration: the paper states Poisson arrivals with "arrival rate of 3 and
 // departure rate of 1" and a population trajectory of 36 -> 66 -> 102 users
@@ -18,7 +21,6 @@
 
 #include "core/controller.h"
 #include "core/policy.h"
-#include "fault/health.h"
 #include "model/evaluator.h"
 #include "sim/scenario.h"
 #include "sim/workload.h"
@@ -29,19 +31,8 @@ namespace wolt::sim {
 struct DynamicsParams {
   double arrival_rate = 3.0;     // users per time unit
   double departure_rate = 0.25;  // departure events per time unit
-  // Mobility: rate of move events per time unit (0 = static users, the
-  // paper's setting). Each event teleports one random user to a fresh
-  // position and re-samples its WiFi links; a user whose current extender
-  // became unreachable is dropped to unassigned and re-handled at the next
-  // epoch like an arrival.
-  double move_rate = 0.0;
   double epoch_length = 12.0;    // time units per epoch
   int epochs = 3;
-  // Backhaul fault injection (fault/health.h): crashes, flaps and capacity
-  // drift scheduled on the same event queue as the birth-death process.
-  // Defaults to no faults, which leaves the RNG stream — and therefore all
-  // fault-free results — untouched.
-  fault::HealthParams health;
   model::EvalOptions eval;
 };
 
@@ -52,9 +43,6 @@ struct PolicyEpochStats {
   // Existing users whose extender changed at this epoch's re-association
   // (new arrivals are not counted).
   std::size_t reassignments = 0;
-  // Users this policy left associated to a dead backhaul after the epoch's
-  // re-association (0 for policies that evacuate, like WOLT).
-  std::size_t stranded_users = 0;
 };
 
 struct EpochStats {
@@ -62,12 +50,6 @@ struct EpochStats {
   std::size_t population = 0;  // users present at the epoch boundary
   std::size_t arrivals = 0;    // users that arrived during the epoch
   std::size_t departures = 0;  // users that departed during the epoch
-  std::size_t moves = 0;       // mobility events during the epoch
-  // Fault-injection counters (all 0 when DynamicsParams::health is off).
-  std::size_t crashes = 0;         // hard backhaul failures this epoch
-  std::size_t repairs = 0;         // recoveries (crash repairs + flap ends)
-  std::size_t flaps = 0;           // transient outages this epoch
-  std::size_t extenders_down = 0;  // dead backhauls at the epoch boundary
   std::vector<PolicyEpochStats> per_policy;
 };
 

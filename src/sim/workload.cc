@@ -37,6 +37,16 @@ double Hypot(double dx, double dy) { return std::sqrt(dx * dx + dy * dy); }
 
 constexpr double kTau = 6.283185307179586476925286766559;  // 2*pi
 
+// kTeleport's move: land on a fresh uniform position with freshly drawn
+// shadowing. The draw order (position, then one shadowing Normal per
+// extender) is pinned by the teleport trace in tests/data/trace_corpus.
+ScenarioGenerator::LinkSample Teleport(const ScenarioGenerator& gen,
+                                       const model::Network& net,
+                                       model::Position* pos, util::Rng& rng) {
+  *pos = gen.SampleUserPosition(rng);
+  return gen.LinksAt(net, *pos, rng);
+}
+
 }  // namespace
 
 const char* ToString(MobilityModel m) {
@@ -233,13 +243,6 @@ bool MobilityKernel::Step(MobilityState* st, double now, double dt,
   return moved;
 }
 
-ScenarioGenerator::LinkSample MobilityKernel::Teleport(
-    const ScenarioGenerator& gen, const model::Network& net,
-    model::Position* pos, util::Rng& rng) {
-  *pos = gen.SampleUserPosition(rng);
-  return gen.LinksAt(net, *pos, rng);
-}
-
 // --- Trace generation ----------------------------------------------------
 
 WorkloadTrace GenerateTrace(const ScenarioGenerator& generator,
@@ -311,8 +314,7 @@ WorkloadTrace GenerateTrace(const ScenarioGenerator& generator,
     ev.kind = TraceEventKind::kMove;
     ev.user = static_cast<std::int64_t>(uid);
     if (params.mobility.model == MobilityModel::kTeleport) {
-      const auto links =
-          MobilityKernel::Teleport(generator, base, &s.state.pos, s.rng);
+      const auto links = Teleport(generator, base, &s.state.pos, s.rng);
       ev.pos = s.state.pos;
       ev.rates_mbps = links.rates_mbps;
       ev.rssi_dbm = links.rssi_dbm;

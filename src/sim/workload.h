@@ -15,9 +15,9 @@
 // Mobility is integrated over the path-loss model: each user's per-extender
 // shadowing is drawn ONCE at arrival and frozen, so RSSI along a trajectory
 // is a deterministic, Lipschitz-continuous function of position (the
-// property test bounds the per-step RSSI delta by the max leg speed). The
-// legacy teleport of dynamics.cc is the degenerate infinite-speed case:
-// a fresh uniform position with freshly drawn shadowing.
+// property test bounds the per-step RSSI delta by the max leg speed).
+// Teleport is the degenerate infinite-speed case: a fresh uniform position
+// with freshly drawn shadowing.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +33,11 @@ namespace wolt::sim {
 
 // --- Mobility kernel -----------------------------------------------------
 
-// kStatic: users never move. kTeleport: the legacy dynamics.cc move event —
-// a jump to a fresh uniform position with fresh shadowing (infinite speed,
-// discontinuous RSSI). kWaypoint: random waypoint — pick a uniform target,
-// walk there at a per-leg speed, pause, repeat. kHotspot: random waypoint
-// whose targets are biased toward a few attraction points (meeting rooms).
+// kStatic: users never move. kTeleport: every move tick, a jump to a fresh
+// uniform position with fresh shadowing (infinite speed, discontinuous
+// RSSI). kWaypoint: random waypoint — pick a uniform target, walk there at
+// a per-leg speed, pause, repeat. kHotspot: random waypoint whose targets
+// are biased toward a few attraction points (meeting rooms).
 enum class MobilityModel { kStatic = 0, kTeleport, kWaypoint, kHotspot };
 const char* ToString(MobilityModel m);
 std::optional<MobilityModel> MobilityModelFromString(const std::string& s);
@@ -88,15 +88,6 @@ class MobilityKernel {
   // toward the waypoint at the leg speed, honour pauses, begin new legs.
   // Returns true iff the position changed. kStatic/kTeleport never step.
   bool Step(MobilityState* st, double now, double dt, util::Rng& rng) const;
-
-  // The degenerate infinite-speed case, shared with dynamics.cc's legacy
-  // move event: land on a fresh uniform position with freshly drawn
-  // shadowing. Draw order (position, then one Normal per extender) is the
-  // pre-existing contract and must not change.
-  static ScenarioGenerator::LinkSample Teleport(const ScenarioGenerator& gen,
-                                                const model::Network& net,
-                                                model::Position* pos,
-                                                util::Rng& rng);
 
   const MobilityParams& params() const { return params_; }
 

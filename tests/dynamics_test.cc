@@ -181,117 +181,6 @@ TEST(DynamicsTest, DeterministicGivenSeed) {
   }
 }
 
-TEST(DynamicsTest, MobilityEventsOccurAndStayConsistent) {
-  const ScenarioGenerator gen = SmallScenario();
-  core::WoltPolicy wolt;
-  core::GreedyPolicy greedy;
-  std::vector<core::AssociationPolicy*> policies = {&wolt, &greedy};
-  DynamicsParams params;
-  params.move_rate = 2.0;  // ~24 moves per epoch
-  util::Rng rng(31);
-  const auto history = RunDynamicSimulation(gen, policies, params, rng);
-  std::size_t total_moves = 0;
-  for (const auto& epoch : history) {
-    total_moves += epoch.moves;
-    for (const auto& ps : epoch.per_policy) {
-      EXPECT_GT(ps.aggregate_mbps, 0.0) << ps.policy;
-    }
-  }
-  EXPECT_GT(total_moves, 20u);
-}
-
-TEST(DynamicsTest, MobilityTriggersWoltReassignments) {
-  // Movers whose old extender went out of range must be re-placed; WOLT's
-  // epoch re-optimization also repositions movers that kept connectivity
-  // but now have a clearly better option.
-  const ScenarioGenerator gen = SmallScenario();
-  core::WoltPolicy wolt;
-  std::vector<core::AssociationPolicy*> policies = {&wolt};
-  DynamicsParams high_mobility;
-  high_mobility.move_rate = 3.0;
-  DynamicsParams static_users;
-  util::Rng a(37), b(37);
-  const auto mobile = RunDynamicSimulation(gen, policies, high_mobility, a);
-  core::WoltPolicy wolt2;
-  std::vector<core::AssociationPolicy*> policies2 = {&wolt2};
-  const auto parked = RunDynamicSimulation(gen, policies2, static_users, b);
-  std::size_t mobile_moves = 0, parked_moves = 0;
-  for (const auto& e : mobile) mobile_moves += e.per_policy[0].reassignments;
-  for (const auto& e : parked) parked_moves += e.per_policy[0].reassignments;
-  EXPECT_GT(mobile_moves, parked_moves);
-}
-
-TEST(DynamicsTest, FaultCountersStayZeroWithoutInjection) {
-  const ScenarioGenerator gen = SmallScenario();
-  core::WoltPolicy wolt;
-  std::vector<core::AssociationPolicy*> policies = {&wolt};
-  DynamicsParams params;
-  params.epochs = 2;
-  util::Rng rng(41);
-  const auto history = RunDynamicSimulation(gen, policies, params, rng);
-  for (const auto& epoch : history) {
-    EXPECT_EQ(epoch.crashes, 0u);
-    EXPECT_EQ(epoch.repairs, 0u);
-    EXPECT_EQ(epoch.flaps, 0u);
-    EXPECT_EQ(epoch.extenders_down, 0u);
-    for (const auto& ps : epoch.per_policy) {
-      EXPECT_EQ(ps.stranded_users, 0u) << ps.policy;
-    }
-  }
-}
-
-TEST(DynamicsTest, BackhaulFaultsStrandGreedyButNotWolt) {
-  // With crash injection on, Greedy leaves its users on dead backhauls
-  // (stranded) while WOLT's epoch re-optimization evacuates them: its
-  // stranded count is zero at every epoch boundary.
-  const ScenarioGenerator gen = SmallScenario();
-  core::WoltPolicy wolt;
-  core::GreedyPolicy greedy;
-  std::vector<core::AssociationPolicy*> policies = {&wolt, &greedy};
-  DynamicsParams params;
-  // One crash per ~4 time units with mean outage 8 (spans the 12-unit
-  // epochs): ~2 of 6 extenders down in steady state, so boundaries see
-  // dead backhauls while some backhaul is always alive.
-  params.health.crash_rate = 0.25;
-  params.health.repair_rate = 0.125;
-  util::Rng rng(43);
-  const auto history = RunDynamicSimulation(gen, policies, params, rng);
-
-  std::size_t crashes = 0, down_epochs = 0;
-  std::size_t wolt_stranded = 0, greedy_stranded = 0;
-  for (const auto& epoch : history) {
-    crashes += epoch.crashes;
-    down_epochs += (epoch.extenders_down > 0);
-    EXPECT_EQ(epoch.per_policy[0].stranded_users, 0u) << "WOLT stranded";
-    wolt_stranded += epoch.per_policy[0].stranded_users;
-    greedy_stranded += epoch.per_policy[1].stranded_users;
-    for (const auto& ps : epoch.per_policy) {
-      EXPECT_GT(ps.aggregate_mbps, 0.0) << ps.policy;
-    }
-  }
-  EXPECT_GT(crashes, 0u);
-  EXPECT_GT(down_epochs, 0u);
-  EXPECT_GE(greedy_stranded, wolt_stranded);
-  EXPECT_GT(greedy_stranded, 0u);
-}
-
-TEST(DynamicsTest, CapacityDriftStaysSafe) {
-  const ScenarioGenerator gen = SmallScenario();
-  core::WoltPolicy wolt;
-  std::vector<core::AssociationPolicy*> policies = {&wolt};
-  DynamicsParams params;
-  params.epochs = 2;
-  params.health.drift_rate = 2.0;
-  util::Rng rng(47);
-  const auto history = RunDynamicSimulation(gen, policies, params, rng);
-  for (const auto& epoch : history) {
-    EXPECT_EQ(epoch.crashes, 0u);  // drift only
-    EXPECT_EQ(epoch.extenders_down, 0u);
-    EXPECT_GT(epoch.per_policy[0].aggregate_mbps, 0.0);
-    EXPECT_EQ(epoch.per_policy[0].stranded_users, 0u);
-  }
-}
-
 TEST(DynamicsTest, NoDeparturesWhenRateZero) {
   const ScenarioGenerator gen = SmallScenario();
   core::WoltPolicy wolt;
