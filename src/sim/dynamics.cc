@@ -22,7 +22,11 @@ std::vector<EpochStats> RunDynamicSimulation(
     const std::vector<core::AssociationPolicy*>& policies,
     const DynamicsParams& params, util::Rng& rng) {
   if (policies.empty()) throw std::invalid_argument("no policies");
-  if (params.arrival_rate <= 0.0 || params.epoch_length <= 0.0 ||
+  // An infinite rate or epoch length would never let the event loop reach
+  // a boundary, and a NaN would slip past every comparison.
+  if (!std::isfinite(params.arrival_rate) || params.arrival_rate <= 0.0 ||
+      !std::isfinite(params.epoch_length) || params.epoch_length <= 0.0 ||
+      !std::isfinite(params.departure_rate) || params.departure_rate < 0.0 ||
       params.epochs <= 0) {
     throw std::invalid_argument("bad dynamics parameters");
   }

@@ -57,7 +57,9 @@ struct EpochStats {
 // the identical user trace and maintains its own association. Policies are
 // re-invoked at each epoch boundary with their previous association (new
 // arrivals unassigned), so online baselines place only the new users while
-// WOLT re-optimizes globally.
+// WOLT re-optimizes globally. Throws std::invalid_argument unless
+// arrival_rate and epoch_length are finite and > 0, departure_rate is
+// finite and >= 0 (0 = no departures), and epochs > 0.
 std::vector<EpochStats> RunDynamicSimulation(
     const ScenarioGenerator& generator,
     const std::vector<core::AssociationPolicy*>& policies,

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "core/greedy.h"
 #include "core/rssi.h"
@@ -23,11 +25,29 @@ TEST(DynamicsTest, RejectsBadInputs) {
   util::Rng rng(1);
   core::WoltPolicy wolt;
   EXPECT_THROW(RunDynamicSimulation(gen, {}, {}, rng), std::invalid_argument);
-  DynamicsParams bad;
-  bad.arrival_rate = 0.0;
   std::vector<core::AssociationPolicy*> policies = {&wolt};
-  EXPECT_THROW(RunDynamicSimulation(gen, policies, bad, rng),
-               std::invalid_argument);
+  // An infinite rate or epoch length would keep the event loop from ever
+  // reaching a boundary, a NaN slips past a plain `<= 0` check, and a
+  // negative departure rate would silently mean no departures.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<DynamicsParams> bad_cases;
+  for (const double x : {0.0, -1.0, kInf, kNaN}) {
+    bad_cases.emplace_back().arrival_rate = x;
+    bad_cases.emplace_back().epoch_length = x;
+  }
+  for (const double x : {-0.25, kInf, kNaN}) {
+    bad_cases.emplace_back().departure_rate = x;
+  }
+  bad_cases.emplace_back().epochs = 0;
+  for (const DynamicsParams& bad : bad_cases) {
+    EXPECT_THROW(RunDynamicSimulation(gen, policies, bad, rng),
+                 std::invalid_argument)
+        << "arrival_rate=" << bad.arrival_rate
+        << " epoch_length=" << bad.epoch_length
+        << " departure_rate=" << bad.departure_rate
+        << " epochs=" << bad.epochs;
+  }
 }
 
 TEST(DynamicsTest, PopulationGrowsPerCalibration) {
