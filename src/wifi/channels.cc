@@ -22,49 +22,8 @@ std::vector<std::pair<std::size_t, std::size_t>> InterferenceEdges(
 
 std::vector<int> AssignChannels(const model::Network& net,
                                 const ChannelPlanParams& params) {
-  if (params.num_channels <= 0) {
-    throw std::invalid_argument("need at least one channel");
-  }
-  const std::size_t n = net.NumExtenders();
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (const auto& [a, b] :
-       InterferenceEdges(net, params.interference_range_m)) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  }
-
-  // Highest-degree-first order (Welsh-Powell). Ties break on extender id so
-  // the plan is a pure function of the instance (std::sort is unstable;
-  // without the tie-break equal-degree vertices could colour in any order).
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (adj[a].size() != adj[b].size()) return adj[a].size() > adj[b].size();
-    return a < b;
-  });
-
-  std::vector<int> channel(n, -1);
-  for (std::size_t v : order) {
-    std::vector<int> used_count(static_cast<std::size_t>(params.num_channels),
-                                0);
-    for (std::size_t u : adj[v]) {
-      if (channel[u] >= 0) ++used_count[static_cast<std::size_t>(channel[u])];
-    }
-    // First free channel; otherwise the channel least used by neighbours.
-    int best = 0;
-    for (int c = 0; c < params.num_channels; ++c) {
-      if (used_count[static_cast<std::size_t>(c)] <
-          used_count[static_cast<std::size_t>(best)]) {
-        best = c;
-      }
-      if (used_count[static_cast<std::size_t>(c)] == 0) {
-        best = c;
-        break;
-      }
-    }
-    channel[v] = best;
-  }
-  return channel;
+  return AssignChannelsWeighted(
+      net, std::vector<double>(net.NumExtenders(), 1.0), params);
 }
 
 std::vector<int> AssignChannelsWeighted(const model::Network& net,

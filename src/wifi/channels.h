@@ -30,22 +30,23 @@ struct ChannelPlanParams {
 std::vector<std::pair<std::size_t, std::size_t>> InterferenceEdges(
     const model::Network& net, double interference_range_m);
 
-// Greedy colouring, highest-degree-first: returns channel index in
-// [0, num_channels) per extender. When a vertex's neighbourhood exhausts
-// all channels it receives the least-used channel among its neighbours
-// (graceful degradation rather than failure).
+// Greedy colouring, highest-degree-first (Welsh-Powell, ties by id):
+// returns channel index in [0, num_channels) per extender. Each vertex
+// takes the lowest free channel; when its neighbourhood exhausts all
+// channels it receives the least-used channel among its neighbours
+// (graceful degradation rather than failure). This is
+// AssignChannelsWeighted with unit weights.
 std::vector<int> AssignChannels(const model::Network& net,
                                 const ChannelPlanParams& params = {});
 
-// Association-weighted recolouring for the joint solver: like
-// AssignChannels, but each extender carries a weight (e.g. its current WiFi
-// cell demand or user load) and the colouring (a) orders vertices by
-// descending weighted interference degree (sum of in-range neighbour
-// weights; ties by id) and (b) gives each vertex the channel minimizing the
-// summed weight of its same-channel neighbours (ties to the lowest channel
-// index). With all weights equal and positive it picks exactly the channels
-// AssignChannels would (lowest free channel, else least-used). `weights`
-// must have one non-negative entry per extender.
+// Association-weighted recolouring for the joint solver: each extender
+// carries a weight (e.g. its current WiFi cell demand or user load) and the
+// colouring (a) orders vertices by descending weighted interference degree
+// (sum of in-range neighbour weights; ties by id) and (b) gives each vertex
+// the channel minimizing the summed weight of its same-channel neighbours
+// (ties to the lowest channel index). Any equal positive weight picks
+// exactly the plan AssignChannels picks. `weights` must have one
+// non-negative entry per extender.
 std::vector<int> AssignChannelsWeighted(const model::Network& net,
                                         const std::vector<double>& weights,
                                         const ChannelPlanParams& params = {});

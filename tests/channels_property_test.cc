@@ -138,9 +138,11 @@ TEST(ChannelsPropertyTest, PlanQualityInvariantUnderIdPermutation) {
 }
 
 TEST(ChannelsPropertyTest, EqualPositiveWeightsReduceToUnweighted) {
+  // AssignChannels is the unit-weight colouring, so a non-unit weight is
+  // what makes this a property rather than an identity.
   for (int seed = 0; seed < 20; ++seed) {
     const model::Network net = RandomFloor(seed, 3 + seed % 8);
-    const std::vector<double> weights(net.NumExtenders(), 1.0);
+    const std::vector<double> weights(net.NumExtenders(), 2.5);
     EXPECT_EQ(AssignChannelsWeighted(net, weights, {}),
               AssignChannels(net, {}))
         << "seed=" << seed;
