@@ -5,9 +5,7 @@
 // reassociation-rate counters are the stickiness-vs-throughput frontier),
 // and the sweep engine over a dynamic grid at 1/2/4/8 threads
 // (BM_DynamicsSweep), which also asserts in-process that the per-task CSV
-// is byte-identical at every thread count. Recorded into BENCH_sweep.json
-// by bench/run_benches.sh (filters starting with BM_Dynamics or
-// BM_Workload route here).
+// is byte-identical at every thread count.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -2,7 +2,8 @@
 // message throughput of the sharded round loop at increasing fleet sizes and
 // thread counts, the wall-clock budgeted reoptimization path (the PR 5
 // ladder under a real deadline), and crash-recovery latency (journal replay
-// + state restore). Recorded into BENCH_fleet.json by bench/run_benches.sh.
+// + state restore). --benchmark_format=json prints a machine-readable run;
+// the repository's benchmark record is perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -2,8 +2,7 @@
 // (google-benchmark): the full alternating solve at enterprise floor sizes
 // (BM_JointAssociate) and the association-weighted greedy recolouring alone
 // (BM_Recolour), which is the per-round inner step the alternating loop
-// amortizes. Recorded into BENCH_scaling.json by bench/run_benches.sh
-// (filters starting with BM_Joint or BM_Recolour route here).
+// amortizes.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

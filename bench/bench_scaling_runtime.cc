@@ -3,6 +3,8 @@
 // enterprise scales (the paper evaluates up to 15 extenders / 124+ users;
 // we push to 1000 users / 50 extenders), the greedy baseline, the
 // throughput evaluator, and the Phase-II move-evaluation loop in isolation.
+// --benchmark_format=json prints a machine-readable run; the repository's
+// benchmark record is perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -125,9 +127,9 @@ BENCHMARK(BM_WoltAssociatePar)
 // steps, local-search move tallies, evaluator counters) fires into a live
 // registry; range(2) == 0 constructs the identical registry but never
 // installs it, so the hooks see a null scope. The /200/15/1 vs /200/15/0
-// pair in BENCH_sweep.json is the < 3% instrumentation-overhead guard
-// (with WOLT_OBS=OFF the scope install is a no-op and the arms are
-// identical code).
+// pair is scripts/ci.sh's <= 5% instrumentation-overhead gate (with
+// WOLT_OBS=OFF the scope install is a no-op and the arms are identical
+// code).
 void BM_WoltAssociateObs(benchmark::State& state) {
   const model::Network net =
       MakeNetwork(static_cast<std::size_t>(state.range(0)),
@@ -276,8 +278,7 @@ BENCHMARK(BM_IncrementalMove)->Arg(124)->Arg(500);
 // The parallel sweep engine on the Fig. 6a grid shape (scaled down to keep
 // iterations short): wall-clock scaling with thread count. The work is
 // bit-identical at every thread count — only the wall time may change, which
-// is why UseRealTime() is required (CPU time sums across workers). Recorded
-// into BENCH_sweep.json by bench/run_benches.sh.
+// is why UseRealTime() is required (CPU time sums across workers).
 void BM_SweepThroughput(benchmark::State& state) {
   sweep::SweepGrid grid;
   grid.master_seed = 2020;
@@ -370,8 +371,8 @@ BENCHMARK(BM_SweepThroughputJournal)
 int main(int argc, char** argv) {
   wolt::bench::ObsSession obs(argc, argv);
   wolt::bench::ObsSession::Strip(argc, argv);
-  // Build-type provenance for recorded runs: bench/run_benches.sh refuses
-  // to record anything but a Release build unless --allow-debug is passed.
+  // Build-type provenance: a --benchmark_format=json run names the build
+  // that produced it, since only Release (perf preset) timings compare.
 #ifdef WOLT_BENCH_BUILD_TYPE
   benchmark::AddCustomContext("wolt_build_type", WOLT_BENCH_BUILD_TYPE);
 #endif
