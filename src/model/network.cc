@@ -74,10 +74,6 @@ int Network::WifiChannel(std::size_t extender) const {
   return extenders_.at(extender).wifi_channel;
 }
 
-void Network::SetUserPosition(std::size_t user, Position p) {
-  users_.at(user).position = p;
-}
-
 void Network::SetUserDemand(std::size_t user, double mbps) {
   if (mbps < 0.0) throw std::invalid_argument("negative demand");
   users_.at(user).demand_mbps = mbps;

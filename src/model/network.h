@@ -79,7 +79,6 @@ class Network {
   // WiFi channel index: -1 (unplanned, the default) or [0, kMaxWifiChannels).
   void SetWifiChannel(std::size_t extender, int channel);
   int WifiChannel(std::size_t extender) const;
-  void SetUserPosition(std::size_t user, Position p);
   // Offered load; 0 = saturated. Negative values are rejected.
   void SetUserDemand(std::size_t user, double mbps);
   double UserDemand(std::size_t user) const;
