@@ -8,9 +8,9 @@
 # goldens, a parallel-determinism smoke (a 4-thread sweep must emit
 # byte-identical CSV to a 1-thread sweep), a chaos smoke checked against its
 # committed table, the Fig. 6b/6c online-epoch goldens, the repository
-# benchmark's output checks (perfbench/),
-# and two perf gates (obs hooks <= 5%, Vfs storage seam <= 1%). Run from
-# anywhere; everything happens at the repo root.
+# benchmark's output checks (perfbench/), and two perf gates (obs hooks
+# <= 5%, Vfs storage seam <= 1%). Run from anywhere; everything happens at
+# the repo root.
 #
 #   scripts/ci.sh               the full gate above
 #   scripts/ci.sh --coverage    observability coverage gate instead: gcov
