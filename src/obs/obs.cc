@@ -51,6 +51,7 @@ ControllerCounters::ControllerCounters(MetricsRegistry& r)
       evictions(r.GetCounter("ctrl.evictions")),
       reopt_guard_trips(r.GetCounter("ctrl.reopt_guard_trips")),
       policy_runs(r.GetCounter("ctrl.policy_runs")),
+      scans_skipped(r.GetCounter("ctrl.scans.skipped")),
       reopt_tier_full(r.GetCounter("ctrl.reopt.tier.full")),
       reopt_tier_hungarian(r.GetCounter("ctrl.reopt.tier.hungarian")),
       reopt_tier_greedy(r.GetCounter("ctrl.reopt.tier.greedy")),

@@ -103,6 +103,9 @@ struct ControllerCounters {
   Counter& evictions;            // stale users reaped
   Counter& reopt_guard_trips;    // do-no-harm fallback taken
   Counter& policy_runs;
+  // Scan updates served without a policy run: the policy declared itself a
+  // fixed point of rate-only inputs and none of them changed.
+  Counter& scans_skipped;
   // Anytime degradation ladder: which tier served each reoptimization epoch.
   Counter& reopt_tier_full;      // full policy fit the budget
   Counter& reopt_tier_hungarian; // Hungarian-only fallback served
@@ -290,7 +293,7 @@ struct SolverCounters {
 struct ControllerCounters {
   NoopCounter directives_sent, directives_retried, directives_given_up,
       acks, acks_stale, evictions, reopt_guard_trips, policy_runs,
-      reopt_tier_full, reopt_tier_hungarian, reopt_tier_greedy,
+      scans_skipped, reopt_tier_full, reopt_tier_hungarian, reopt_tier_greedy,
       reopt_tier_hold, reopt_tier_joint, reopt_budget_overruns,
       quarantine_trips, quarantine_releases;
 };
