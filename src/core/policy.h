@@ -29,6 +29,14 @@ class AssociationPolicy {
   // Convenience: associate from scratch (everyone is a new arrival).
   model::Assignment AssociateFresh(const model::Network& net);
 
+  // True when the policy is a fixed point of rate-only inputs: Associate
+  // reads no user demand and no RSSI, and for every network and every
+  // valid `p`, Associate(net, Associate(net, p)) == Associate(net, p).
+  // The controller then skips re-solving a scan that changed neither the
+  // rates nor anything else the solve read. The default, false, makes the
+  // controller solve on every scan.
+  virtual bool RatesOnlyFixedPoint() const { return false; }
+
   // Anytime control plane (the controller's per-epoch budget): while a
   // deadline is set, deadline-aware policies (WOLT) poll it inside their
   // solvers and return a best-so-far valid assignment on expiry; policies

@@ -44,6 +44,39 @@ bool ReachableUnderMask(const model::Network& net, std::size_t user,
   return false;
 }
 
+// Greedy insertion leaves a user out when every extender it can use is
+// full, and relocation can then free a slot at one of them. Re-insert such
+// users and relocate again until none of `users` is left out while an
+// extender it can use has room, so a reachable user is never stranded
+// beside a free slot (constraint (7)). Networks without B_j caps never
+// have such users, and this costs them one scan.
+void InsertStranded(const model::Network& net, model::Assignment& assign,
+                    const std::vector<std::size_t>& users,
+                    const assign::LocalSearchOptions& ls) {
+  std::vector<std::size_t> stranded;
+  for (;;) {
+    const std::vector<int> load = assign.LoadVector(net.NumExtenders());
+    stranded.clear();
+    for (std::size_t user : users) {
+      if (assign.IsAssigned(user)) continue;
+      for (std::size_t j = 0; j < net.NumExtenders(); ++j) {
+        const int cap = net.MaxUsers(j);
+        if (MaskAllows(ls.extender_mask, j) && net.PlcRate(j) > 0.0 &&
+            net.WifiRate(user, j) > 0.0 && (cap == 0 || load[j] < cap)) {
+          stranded.push_back(user);
+          break;
+        }
+      }
+    }
+    if (stranded.empty()) return;
+    const std::size_t placed = assign.AssignedCount();
+    assign::GreedyInsert(net, assign, stranded, ls);
+    // Only an expired deadline places nobody here; stop rather than spin.
+    if (assign.AssignedCount() == placed) return;
+    assign::RelocateLocalSearch(net, assign, users, ls);
+  }
+}
+
 }  // namespace
 
 Phase1Result WoltPolicy::ComputePhase1(const model::Network& net) const {
@@ -207,9 +240,10 @@ model::Assignment WoltPolicy::AssociateSubsetSearch(
     if (!best.IsAssigned(i)) leftover.push_back(i);
   }
   if (!leftover.empty()) {
-    GreedyInsert(net, best, leftover, polish);
+    assign::GreedyInsert(net, best, leftover, polish);
   }
   assign::RelocateLocalSearch(net, best, everyone, polish);
+  InsertStranded(net, best, everyone, polish);
   return best;
 }
 
@@ -294,15 +328,17 @@ model::Assignment WoltPolicy::AssociateOnce(
 
   if (seeded) {
     // Sticky path: single start from the carried-over configuration.
-    GreedyInsert(net, assign, u2, ls);
+    assign::GreedyInsert(net, assign, u2, ls);
     if (options_.local_search) {
       assign::RelocateLocalSearch(net, assign, u2, ls);
     }
   } else if (options_.local_search) {
     assign::SolvePhase2MultiStart(net, assign, u2, ls);
   } else {
-    GreedyInsert(net, assign, u2, ls);
+    assign::GreedyInsert(net, assign, u2, ls);
   }
+  // Only relocation frees slots, so greedy insertion alone strands nobody.
+  if (options_.local_search) InsertStranded(net, assign, u2, ls);
   return assign;
 }
 

@@ -91,6 +91,16 @@ class WoltPolicy : public AssociationPolicy {
   model::Assignment Associate(const model::Network& net,
                               const model::Assignment& previous) override;
 
+  // The kWifiSum Phase II reads rates, capacities, domains and caps, never
+  // demand or RSSI, and a solve seeded with its own output returns it
+  // unchanged. The end-to-end and proportional-fair objectives read demand,
+  // and so does the subset search's end-to-end polish; the NLP Phase II
+  // makes no fixed-point promise.
+  bool RatesOnlyFixedPoint() const override {
+    return options_.phase2_objective == assign::Phase2Objective::kWifiSum &&
+           !options_.subset_search && !options_.use_nlp_phase2;
+  }
+
   // Run Phase I alone (Alg. 1 lines 1-4).
   Phase1Result ComputePhase1(const model::Network& net) const;
   // Phase I restricted to an extender activation mask (empty = all

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/greedy.h"
@@ -122,6 +123,136 @@ TEST_P(PolicyPropertyTest, OptimalDominatesEveryPolicy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PolicyPropertyTest, ::testing::Range(1, 16));
+
+// --- B_j caps, dead backhauls, several domains ---
+
+// 802.11n MCS rates: quantized, so many (user, extender) pairs tie.
+constexpr double kMcsRates[] = {6.5, 13.0, 19.5, 26.0, 39.0, 52.0, 58.5, 65.0};
+
+// A random floor with everything the solvers branch on: 1-10 extenders
+// over up to three PLC domains, a tenth of them on a dead backhaul, a
+// share of them capped at 1-6 users, MCS rates with 70% reach, and a few
+// users no extender hears.
+model::Network RandomCappedNetwork(util::Rng& rng, std::size_t max_users,
+                                   double capped_share) {
+  const auto exts = static_cast<std::size_t>(rng.UniformInt(1, 10));
+  const auto users =
+      static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(max_users)));
+  model::Network net(users, exts);
+  for (std::size_t j = 0; j < exts; ++j) {
+    net.SetPlcRate(j, rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(20.0, 160.0));
+    net.SetPlcDomain(j, rng.UniformInt(0, 2));
+    if (rng.Bernoulli(capped_share)) net.SetMaxUsers(j, rng.UniformInt(1, 6));
+  }
+  for (std::size_t i = 0; i < users; ++i) {
+    if (rng.Bernoulli(0.05)) continue;  // unreachable user
+    for (std::size_t j = 0; j < exts; ++j) {
+      if (rng.Bernoulli(0.7)) {
+        net.SetWifiRate(i, j, kMcsRates[rng.UniformInt(0, 7)]);
+      }
+    }
+  }
+  return net;
+}
+
+// A random valid previous association: about half the users sit on some
+// extender they hear that still has room under its cap.
+model::Assignment RandomPrevious(util::Rng& rng, const model::Network& net) {
+  model::Assignment prev(net.NumUsers());
+  std::vector<int> load(net.NumExtenders(), 0);
+  for (std::size_t i = 0; i < net.NumUsers(); ++i) {
+    if (!rng.Bernoulli(0.5)) continue;
+    const auto j = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<int>(net.NumExtenders()) - 1));
+    const int cap = net.MaxUsers(j);
+    if (net.WifiRate(i, j) <= 0.0 || (cap > 0 && load[j] >= cap)) continue;
+    prev.Assign(i, j);
+    ++load[j];
+  }
+  return prev;
+}
+
+// Constraint (7) under caps: a reachable user may stay out only when every
+// live extender it hears is full.
+void ExpectNoneStranded(const model::Network& net, const model::Assignment& a,
+                        const std::string& who) {
+  const std::vector<int> load = a.LoadVector(net.NumExtenders());
+  for (std::size_t i = 0; i < net.NumUsers(); ++i) {
+    if (a.IsAssigned(i)) continue;
+    for (std::size_t j = 0; j < net.NumExtenders(); ++j) {
+      const int cap = net.MaxUsers(j);
+      EXPECT_FALSE(net.WifiRate(i, j) > 0.0 && net.PlcRate(j) > 0.0 &&
+                   (cap == 0 || load[j] < cap))
+          << who << " left user " << i << " out beside a free slot at "
+          << "extender " << j << " (load " << load[j] << ", cap " << cap
+          << ")";
+    }
+  }
+}
+
+TEST(PolicyCapsTest, NoReachableUserStrandedBesideAFreeSlot) {
+  // Most extenders capped, so users outnumber the free slots and greedy
+  // insertion finds extenders full. The NLP Phase II is left out: it does
+  // not enforce B_j.
+  util::Rng rng(0xCA95);
+  std::vector<core::PolicyPtr> policies;
+  for (auto& policy : AllPolicies()) {
+    const auto* wolt = dynamic_cast<const core::WoltPolicy*>(policy.get());
+    if (wolt != nullptr && wolt->options().use_nlp_phase2) continue;
+    policies.push_back(std::move(policy));
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    const model::Network net = RandomCappedNetwork(rng, 60, 0.8);
+    for (const auto& policy : policies) {
+      const model::Assignment a = policy->AssociateFresh(net);
+      ASSERT_TRUE(a.IsValidFor(net)) << policy->Name();
+      ExpectNoneStranded(net, a, policy->Name() + " (trial " +
+                                     std::to_string(trial) + ")");
+    }
+  }
+}
+
+// The WOLT configurations that declare RatesOnlyFixedPoint().
+std::vector<core::WoltOptions> FixedPointConfigs() {
+  core::WoltOptions fresh;
+  fresh.sticky = false;
+  core::WoltOptions no_ls;
+  no_ls.local_search = false;
+  core::WoltOptions wifi_only;
+  wifi_only.phase1_utility = core::Phase1Utility::kWifiOnly;
+  return {core::WoltOptions{}, fresh, no_ls, wifi_only};
+}
+
+TEST(PolicyFixedPointTest, DeclaringWoltReturnsItsOwnOutput) {
+  // The controller's scan skip rests on this: re-solving from a solve's
+  // output must return that output.
+  util::Rng rng(0xF1C5);
+  for (const core::WoltOptions& options : FixedPointConfigs()) {
+    core::WoltPolicy wolt(options);
+    ASSERT_TRUE(wolt.RatesOnlyFixedPoint());
+    for (int trial = 0; trial < 1500; ++trial) {
+      const model::Network net = RandomCappedNetwork(rng, 80, 0.2);
+      const model::Assignment prev = RandomPrevious(rng, net);
+      const model::Assignment once = wolt.Associate(net, prev);
+      ASSERT_EQ(wolt.Associate(net, once), once)
+          << "trial " << trial << " sticky=" << options.sticky
+          << " local_search=" << options.local_search << " from "
+          << prev.ToString();
+    }
+  }
+}
+
+TEST(PolicyFixedPointTest, OtherPoliciesDoNotDeclare) {
+  for (const auto& policy : AllPolicies()) {
+    const auto* wolt = dynamic_cast<const core::WoltPolicy*>(policy.get());
+    const bool plain_wolt =
+        wolt != nullptr && !wolt->options().subset_search &&
+        !wolt->options().use_nlp_phase2 &&
+        wolt->options().phase2_objective == assign::Phase2Objective::kWifiSum;
+    EXPECT_EQ(policy->RatesOnlyFixedPoint(), plain_wolt) << policy->Name();
+  }
+  EXPECT_FALSE(core::OptimalPolicy().RatesOnlyFixedPoint());
+}
 
 // --- Model structure the policies rely on ---
 
