@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <sstream>
@@ -484,6 +485,7 @@ model::Assignment CentralController::EvacuationFallback() const {
 std::vector<AssociationDirective> CentralController::DiffAndRegister(
     const model::Assignment& before, model::Assignment proposed) {
   assignment_ = std::move(proposed);
+  solved_version_ = 0;
   std::vector<AssociationDirective> directives;
   for (std::size_t i = 0; i < net_.NumUsers(); ++i) {
     if (assignment_.IsAssigned(i) &&
@@ -518,7 +520,10 @@ std::vector<AssociationDirective> CentralController::RunPolicy() {
   // weak user legitimately lowers a max-min aggregate, and vetoing that
   // would strand the user forever.
   const model::Assignment before = assignment_;
-  return DiffAndRegister(before, policy_->Associate(net_, before));
+  std::vector<AssociationDirective> directives =
+      DiffAndRegister(before, policy_->Associate(net_, before));
+  solved_version_ = net_.Version();
+  return directives;
 }
 
 HandleResult CentralController::HandleUserArrival(const ScanReport& report) {
@@ -544,14 +549,32 @@ HandleResult CentralController::HandleScanUpdate(const ScanReport& report) {
   const auto it = index_of_id_.find(report.user_id);
   if (it == index_of_id_.end()) return {HandleStatus::kUnknownUser, {}};
   const std::size_t index = it->second;
+  // Read before ApplyReport: SetWifiRate moves the stamp even when it
+  // writes an equal value. memcmp, not ==, so -0.0 and 0.0 differ.
+  const bool rates_unchanged =
+      solved_version_ == net_.Version() && policy_->RatesOnlyFixedPoint() &&
+      std::memcmp(net_.WifiRateRow(index), report.rates_mbps.data(),
+                  net_.NumExtenders() * sizeof(double)) == 0;
   ApplyReport(index, report);
   // The refreshed rates may invalidate the current association.
   const int current = assignment_.ExtenderOf(index);
+  bool unassigned = false;
   if (current != model::Assignment::kUnassigned &&
       net_.WifiRate(index, static_cast<std::size_t>(current)) <= 0.0) {
     assignment_.Unassign(index);
+    unassigned = true;
   }
-  HandleResult result{HandleStatus::kOk, RunPolicy()};
+  HandleResult result{HandleStatus::kOk, {}};
+  if (rates_unchanged && !unassigned) {
+    // Only demand or RSSI changed, and the policy reads neither: its last
+    // solve is its own fixed point, so re-running it would change nothing.
+    solved_version_ = net_.Version();
+    if (obs::MetricsScope* s = obs::CurrentScope()) {
+      s->ctrl.scans_skipped.Add(1);
+    }
+  } else {
+    result.directives = RunPolicy();
+  }
   // Reconciliation: the client told us where it actually is. If that
   // disagrees with the believed association and nothing is in flight,
   // re-issue the believed directive (the original was lost / abandoned).
@@ -1001,6 +1024,7 @@ bool CentralController::RestoreState(util::ByteCursor* cur) {
   flap_ = std::move(flap);
   index_of_id_ = std::move(index_of_id);
   pending_ = std::move(pending);
+  solved_version_ = 0;
   return true;
 }
 

@@ -227,10 +227,21 @@ class CentralController {
   HandleResult HandleUserArrival(const ScanReport& report);
 
   // An existing user refreshes its measurements (mobility). The policy is
-  // re-run; the result carries directives for every moved user. If the
-  // report names the client's actual extender and it disagrees with the
-  // controller's believed association, the believed directive is re-issued
-  // (reconciliation after lost directives).
+  // re-run; the result carries directives for every moved user. The run is
+  // skipped when all of these hold:
+  //   * the policy declares RatesOnlyFixedPoint();
+  //   * the network is as the last arrival or scan update left it: no
+  //     departure, capacity report, quarantine release, IngestScan,
+  //     reoptimization epoch or RestoreState since;
+  //   * the report's rate row is bit-equal to the stored one;
+  //   * the user's current extender is still reachable.
+  // Such a report changes only demand or RSSI, which the policy does not
+  // read, and the assignment is its own solve's output, so re-running it
+  // would return that assignment unchanged. Skipped scans count in
+  // ctrl.scans.skipped. If the report names the client's actual extender
+  // and it disagrees with the controller's believed association, the
+  // believed directive is re-issued (reconciliation after lost
+  // directives), whether the run was skipped or not.
   HandleResult HandleScanUpdate(const ScanReport& report);
 
   // Trace-replay ingestion: apply a scan (arrival or refresh) WITHOUT
@@ -402,6 +413,10 @@ class CentralController {
   std::vector<FlapState> flap_;        // by extender
   std::unordered_map<std::int64_t, std::size_t> index_of_id_;
   std::unordered_map<std::int64_t, PendingDirective> pending_;
+  // net_.Version() right after RunPolicy's solve, re-stamped by each scan
+  // that skips one; 0 = no solve the next scan may stand on. Any other
+  // assignment change (DiffAndRegister) and RestoreState clear it.
+  std::uint64_t solved_version_ = 0;
 };
 
 }  // namespace wolt::core
