@@ -1,13 +1,16 @@
 #include "core/controller.h"
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "core/greedy.h"
@@ -21,51 +24,77 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::string JoinDoubles(const std::vector<double>& xs) {
-  std::string out;
-  char buf[64];
+// printf's %g: six significant digits, fixed or scientific, whichever the
+// exponent calls for.
+void AppendDouble(std::string* out, double x) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), x,
+                               std::chars_format::general, 6);
+  out->append(buf, r.ptr);
+}
+
+void AppendInt(std::string* out, std::int64_t x) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), x);
+  out->append(buf, r.ptr);
+}
+
+void AppendDoubles(std::string* out, const std::vector<double>& xs) {
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    if (k) out += ',';
-    std::snprintf(buf, sizeof(buf), "%g", xs[k]);
-    out += buf;
+    if (k) out->push_back(',');
+    AppendDouble(out, xs[k]);
   }
-  return out;
+}
+
+// stod and stoll accept one leading '+', from_chars does not. Strip it
+// unless a sign follows: "+-5" stays malformed.
+std::string_view StripPlus(std::string_view s) {
+  if (s.size() > 1 && s[0] == '+' && s[1] != '+' && s[1] != '-') {
+    s.remove_prefix(1);
+  }
+  return s;
 }
 
 // Strict numeric parsers: the whole token must be consumed and the value
-// must be finite. std::stod/stoll accept trailing garbage ("12abc" -> 12)
-// and throw on overflow; both are wire faults here, so wrap and check.
-std::optional<double> ParseDouble(const std::string& s) {
-  // Whitelist plain decimal syntax first: stod also accepts hex floats
+// must be finite and in range. They accept exactly what std::stod/stoll
+// accept as a whole token.
+std::optional<double> ParseDouble(std::string_view s) {
+  // Whitelist plain decimal syntax first: strtod also accepts hex floats
   // ("0x10"), leading whitespace and nan/inf spellings, none of which are
   // legal on this wire.
   if (s.empty() ||
-      s.find_first_not_of("0123456789.+-eE") != std::string::npos) {
+      s.find_first_not_of("0123456789.+-eE") != std::string_view::npos) {
     return std::nullopt;
   }
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(s, &consumed);
-    if (consumed != s.size() || !std::isfinite(value)) return std::nullopt;
-    return value;
-  } catch (const std::exception&) {
+  s = StripPlus(s);
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || end != s.data() + s.size() ||
+      !std::isfinite(value)) {
     return std::nullopt;
   }
+  // from_chars takes subnormal results, and values that round up to
+  // DBL_MIN. glibc's strtod flags both with ERANGE, since it detects
+  // tininess before rounding, and stod rejected them. Ask strtod on this
+  // rare path so the accepted set stays the same.
+  if (value != 0.0 && std::fabs(value) <= DBL_MIN) {
+    const std::string copy(s);
+    errno = 0;
+    std::strtod(copy.c_str(), nullptr);
+    if (errno == ERANGE) return std::nullopt;
+  }
+  return value;
 }
 
-std::optional<std::int64_t> ParseInt64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  try {
-    std::size_t consumed = 0;
-    const long long value = std::stoll(s, &consumed);
-    if (consumed != s.size()) return std::nullopt;
-    return static_cast<std::int64_t>(value);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+std::optional<std::int64_t> ParseInt64(std::string_view s) {
+  s = StripPlus(s);
+  std::int64_t value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
+  return value;
 }
 
-std::optional<int> ParseInt(const std::string& s) {
+std::optional<int> ParseInt(std::string_view s) {
   const auto wide = ParseInt64(s);
   if (!wide || *wide < std::numeric_limits<int>::min() ||
       *wide > std::numeric_limits<int>::max()) {
@@ -74,51 +103,64 @@ std::optional<int> ParseInt(const std::string& s) {
   return static_cast<int>(*wide);
 }
 
-std::optional<std::vector<double>> ParseDoubles(const std::string& csv) {
-  if (!csv.empty() && csv.back() == ',') return std::nullopt;
-  std::vector<double> out;
-  std::istringstream in(csv);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const auto value = ParseDouble(item);
-    if (!value) return std::nullopt;
-    out.push_back(*value);
+// Appends a comma-separated list of at least one ParseDouble value to
+// `out`. An empty item (",," or a trailing comma) is malformed, and so is
+// "rates=": it carries no measurement.
+bool ParseDoubles(std::string_view csv, std::vector<double>* out) {
+  if (csv.empty() || csv.back() == ',') return false;
+  out->reserve(static_cast<std::size_t>(
+                   std::count(csv.begin(), csv.end(), ',')) + 1);
+  for (;;) {
+    const std::size_t comma = csv.find(',');
+    const auto value = ParseDouble(csv.substr(0, comma));
+    if (!value) return false;
+    out->push_back(*value);
+    if (comma == std::string_view::npos) return true;
+    csv.remove_prefix(comma + 1);
   }
-  if (out.empty()) return std::nullopt;  // "rates=" carries no measurement
-  return out;
 }
 
-// Splits "key=value" tokens of a message line after the type word.
-// Duplicate keys are a wire fault (a spliced/corrupted line), not a
-// last-writer-wins merge.
-std::optional<std::unordered_map<std::string, std::string>> ParseFields(
-    const std::string& line, const std::string& expected_type) {
-  std::istringstream in(line);
-  std::string type;
-  if (!(in >> type) || type != expected_type) return std::nullopt;
-  std::unordered_map<std::string, std::string> fields;
-  std::string token;
-  while (in >> token) {
+// The whitespace set operator>> splits on in the C locale.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// Pops the next whitespace-delimited token off the front of `rest`. An
+// empty token means the line is used up.
+std::string_view NextToken(std::string_view& rest) {
+  std::size_t begin = 0;
+  while (begin < rest.size() && IsSpace(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !IsSpace(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+// The values of one message line's key=value tokens, indexed like the key
+// list passed to ParseFields; a key the line does not carry has none.
+template <std::size_t N>
+using Fields = std::array<std::optional<std::string_view>, N>;
+
+// Splits a message line after its type word, which must be `type`. Every
+// other token must be key=value with a key from `keys`. Unknown keys are
+// trailing garbage in disguise (a corrupted or spliced line), not
+// forward-compatible extensions, and a duplicate key is a wire fault, not
+// a last-writer-wins merge.
+template <std::size_t N>
+std::optional<Fields<N>> ParseFields(std::string_view line,
+                                     std::string_view type,
+                                     const std::string_view (&keys)[N]) {
+  if (NextToken(line) != type) return std::nullopt;
+  Fields<N> fields;
+  for (std::string_view token = NextToken(line); !token.empty();
+       token = NextToken(line)) {
     const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) return std::nullopt;
-    if (!fields.emplace(token.substr(0, eq), token.substr(eq + 1)).second) {
-      return std::nullopt;
-    }
+    if (eq == std::string_view::npos || eq == 0) return std::nullopt;
+    std::size_t k = 0;
+    while (k < N && keys[k] != token.substr(0, eq)) ++k;
+    if (k == N || fields[k]) return std::nullopt;
+    fields[k] = token.substr(eq + 1);
   }
   return fields;
-}
-
-// Unknown keys are trailing garbage in disguise (a corrupted or spliced
-// line), not forward-compatible extensions.
-bool OnlyKeys(const std::unordered_map<std::string, std::string>& fields,
-              std::initializer_list<const char*> allowed) {
-  for (const auto& [key, value] : fields) {
-    (void)value;
-    bool known = false;
-    for (const char* a : allowed) known = known || key == a;
-    if (!known) return false;
-  }
-  return true;
 }
 
 bool AllNonNegative(const std::vector<double>& xs) {
@@ -221,117 +263,131 @@ ReoptTier TierForBudgetUnits(int units) {
 }
 
 std::string Encode(const ScanReport& msg) {
-  std::string out = "SCAN user=" + std::to_string(msg.user_id) +
-                    " rates=" + JoinDoubles(msg.rates_mbps);
-  if (!msg.rssi_dbm.empty()) out += " rssi=" + JoinDoubles(msg.rssi_dbm);
+  std::string out = "SCAN user=";
+  // Room for the longest fixed fields, and for every %g value (at most 13
+  // characters) with its separator.
+  out.reserve(96 + 14 * (msg.rates_mbps.size() + msg.rssi_dbm.size()));
+  AppendInt(&out, msg.user_id);
+  out += " rates=";
+  AppendDoubles(&out, msg.rates_mbps);
+  if (!msg.rssi_dbm.empty()) {
+    out += " rssi=";
+    AppendDoubles(&out, msg.rssi_dbm);
+  }
   if (msg.associated_extender) {
-    out += " assoc=" + std::to_string(*msg.associated_extender);
+    out += " assoc=";
+    AppendInt(&out, *msg.associated_extender);
   }
   if (msg.demand_mbps) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%g", *msg.demand_mbps);
     out += " demand=";
-    out += buf;
+    AppendDouble(&out, *msg.demand_mbps);
   }
   return out;
 }
 
 std::string Encode(const AssociationDirective& msg) {
-  return "DIRECTIVE user=" + std::to_string(msg.user_id) +
-         " extender=" + std::to_string(msg.extender);
+  std::string out = "DIRECTIVE user=";
+  AppendInt(&out, msg.user_id);
+  out += " extender=";
+  AppendInt(&out, msg.extender);
+  return out;
 }
 
 std::string Encode(const DirectiveAck& msg) {
-  return "ACK user=" + std::to_string(msg.user_id) +
-         " extender=" + std::to_string(msg.extender);
+  std::string out = "ACK user=";
+  AppendInt(&out, msg.user_id);
+  out += " extender=";
+  AppendInt(&out, msg.extender);
+  return out;
 }
 
 std::string Encode(const DepartureNotice& msg) {
-  return "DEPART user=" + std::to_string(msg.user_id);
+  std::string out = "DEPART user=";
+  AppendInt(&out, msg.user_id);
+  return out;
 }
 
 std::string Encode(const CapacityReport& msg) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", msg.capacity_mbps);
-  return "CAPACITY extender=" + std::to_string(msg.extender) + " mbps=" + buf;
+  std::string out = "CAPACITY extender=";
+  AppendInt(&out, msg.extender);
+  out += " mbps=";
+  AppendDouble(&out, msg.capacity_mbps);
+  return out;
 }
 
 std::optional<ScanReport> DecodeScanReport(const std::string& line) {
-  const auto fields = ParseFields(line, "SCAN");
-  if (!fields || !fields->count("user") || !fields->count("rates") ||
-      !OnlyKeys(*fields, {"user", "rates", "rssi", "assoc", "demand"})) {
+  const auto fields =
+      ParseFields(line, "SCAN", {"user", "rates", "rssi", "assoc", "demand"});
+  if (!fields) return std::nullopt;
+  const auto& [user, rates, rssi, assoc, demand] = *fields;
+  if (!user || !rates) return std::nullopt;
+  ScanReport msg;
+  const auto id = ParseInt64(*user);
+  if (!id) return std::nullopt;
+  msg.user_id = *id;
+  if (!ParseDoubles(*rates, &msg.rates_mbps) ||
+      !AllNonNegative(msg.rates_mbps)) {
     return std::nullopt;
   }
-  ScanReport msg;
-  const auto user = ParseInt64(fields->at("user"));
-  if (!user) return std::nullopt;
-  msg.user_id = *user;
-  const auto rates = ParseDoubles(fields->at("rates"));
-  if (!rates || !AllNonNegative(*rates)) return std::nullopt;
-  msg.rates_mbps = *rates;
-  if (fields->count("rssi")) {
-    const auto rssi = ParseDoubles(fields->at("rssi"));
-    if (!rssi || rssi->size() != msg.rates_mbps.size()) return std::nullopt;
-    msg.rssi_dbm = *rssi;
+  if (rssi && (!ParseDoubles(*rssi, &msg.rssi_dbm) ||
+               msg.rssi_dbm.size() != msg.rates_mbps.size())) {
+    return std::nullopt;
   }
-  if (fields->count("assoc")) {
-    const auto assoc = ParseInt(fields->at("assoc"));
-    if (!assoc || *assoc < -1) return std::nullopt;
-    msg.associated_extender = *assoc;
+  if (assoc) {
+    const auto extender = ParseInt(*assoc);
+    if (!extender || *extender < -1) return std::nullopt;
+    msg.associated_extender = *extender;
   }
-  if (fields->count("demand")) {
-    const auto demand = ParseDouble(fields->at("demand"));
-    if (!demand || *demand < 0.0) return std::nullopt;
-    msg.demand_mbps = *demand;
+  if (demand) {
+    const auto mbps = ParseDouble(*demand);
+    if (!mbps || *mbps < 0.0) return std::nullopt;
+    msg.demand_mbps = *mbps;
   }
   return msg;
 }
 
 std::optional<AssociationDirective> DecodeAssociationDirective(
     const std::string& line) {
-  const auto fields = ParseFields(line, "DIRECTIVE");
-  if (!fields || !fields->count("user") || !fields->count("extender") ||
-      !OnlyKeys(*fields, {"user", "extender"})) {
-    return std::nullopt;
-  }
-  const auto user = ParseInt64(fields->at("user"));
-  const auto extender = ParseInt(fields->at("extender"));
-  if (!user || !extender || *extender < 0) return std::nullopt;
-  return AssociationDirective{*user, *extender};
+  const auto fields = ParseFields(line, "DIRECTIVE", {"user", "extender"});
+  if (!fields) return std::nullopt;
+  const auto& [user, extender] = *fields;
+  if (!user || !extender) return std::nullopt;
+  const auto id = ParseInt64(*user);
+  const auto ext = ParseInt(*extender);
+  if (!id || !ext || *ext < 0) return std::nullopt;
+  return AssociationDirective{*id, *ext};
 }
 
 std::optional<DirectiveAck> DecodeDirectiveAck(const std::string& line) {
-  const auto fields = ParseFields(line, "ACK");
-  if (!fields || !fields->count("user") || !fields->count("extender") ||
-      !OnlyKeys(*fields, {"user", "extender"})) {
-    return std::nullopt;
-  }
-  const auto user = ParseInt64(fields->at("user"));
-  const auto extender = ParseInt(fields->at("extender"));
-  if (!user || !extender || *extender < 0) return std::nullopt;
-  return DirectiveAck{*user, *extender};
+  const auto fields = ParseFields(line, "ACK", {"user", "extender"});
+  if (!fields) return std::nullopt;
+  const auto& [user, extender] = *fields;
+  if (!user || !extender) return std::nullopt;
+  const auto id = ParseInt64(*user);
+  const auto ext = ParseInt(*extender);
+  if (!id || !ext || *ext < 0) return std::nullopt;
+  return DirectiveAck{*id, *ext};
 }
 
 std::optional<DepartureNotice> DecodeDepartureNotice(const std::string& line) {
-  const auto fields = ParseFields(line, "DEPART");
-  if (!fields || !fields->count("user") || !OnlyKeys(*fields, {"user"})) {
-    return std::nullopt;
-  }
-  const auto user = ParseInt64(fields->at("user"));
+  const auto fields = ParseFields(line, "DEPART", {"user"});
+  if (!fields) return std::nullopt;
+  const auto& [user] = *fields;
   if (!user) return std::nullopt;
-  return DepartureNotice{*user};
+  const auto id = ParseInt64(*user);
+  if (!id) return std::nullopt;
+  return DepartureNotice{*id};
 }
 
 std::optional<CapacityReport> DecodeCapacityReport(const std::string& line) {
-  const auto fields = ParseFields(line, "CAPACITY");
-  if (!fields || !fields->count("extender") || !fields->count("mbps") ||
-      !OnlyKeys(*fields, {"extender", "mbps"})) {
-    return std::nullopt;
-  }
-  const auto extender = ParseInt(fields->at("extender"));
-  const auto mbps = ParseDouble(fields->at("mbps"));
-  if (!extender || *extender < 0 || !mbps || *mbps < 0.0) return std::nullopt;
-  return CapacityReport{*extender, *mbps};
+  const auto fields = ParseFields(line, "CAPACITY", {"extender", "mbps"});
+  if (!fields) return std::nullopt;
+  const auto& [extender, mbps] = *fields;
+  if (!extender || !mbps) return std::nullopt;
+  const auto ext = ParseInt(*extender);
+  const auto capacity = ParseDouble(*mbps);
+  if (!ext || *ext < 0 || !capacity || *capacity < 0.0) return std::nullopt;
+  return CapacityReport{*ext, *capacity};
 }
 
 CentralController::CentralController(std::size_t num_extenders,

@@ -91,7 +91,9 @@ struct CapacityReport {
 //   CAPACITY extender=1 mbps=120.5
 // Decoders are total: any input — including corrupted bytes — yields either
 // a fully validated message (finite values, non-negative rates/capacities,
-// in-range ids) or nullopt. They never throw.
+// in-range ids) or nullopt. They never throw. Numbers are plain decimal;
+// hex, inf and nan spellings and subnormal magnitudes are malformed.
+// Encoders write doubles as printf's %g.
 std::string Encode(const ScanReport& msg);
 std::string Encode(const AssociationDirective& msg);
 std::string Encode(const DirectiveAck& msg);
