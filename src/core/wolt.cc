@@ -240,7 +240,7 @@ model::Assignment WoltPolicy::AssociateSubsetSearch(
     if (!best.IsAssigned(i)) leftover.push_back(i);
   }
   if (!leftover.empty()) {
-    assign::GreedyInsert(net, best, leftover, polish);
+    GreedyInsert(net, best, leftover, polish);
   }
   assign::RelocateLocalSearch(net, best, everyone, polish);
   InsertStranded(net, best, everyone, polish);
@@ -328,14 +328,14 @@ model::Assignment WoltPolicy::AssociateOnce(
 
   if (seeded) {
     // Sticky path: single start from the carried-over configuration.
-    assign::GreedyInsert(net, assign, u2, ls);
+    GreedyInsert(net, assign, u2, ls);
     if (options_.local_search) {
       assign::RelocateLocalSearch(net, assign, u2, ls);
     }
   } else if (options_.local_search) {
     assign::SolvePhase2MultiStart(net, assign, u2, ls);
   } else {
-    assign::GreedyInsert(net, assign, u2, ls);
+    GreedyInsert(net, assign, u2, ls);
   }
   // Only relocation frees slots, so greedy insertion alone strands nobody.
   if (options_.local_search) InsertStranded(net, assign, u2, ls);
