@@ -11,12 +11,13 @@
 //     subnormals, signed zeros, infinities and NaNs included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -130,10 +131,7 @@ bool OnlyKeys(const FieldMap& fields,
 }
 
 bool AllNonNegative(const std::vector<double>& xs) {
-  for (double x : xs) {
-    if (!(x >= 0.0)) return false;
-  }
-  return true;
+  return std::all_of(xs.begin(), xs.end(), [](double x) { return x >= 0.0; });
 }
 
 std::string Encode(const ScanReport& msg) {
