@@ -7,8 +7,9 @@
 // per completed task. Doubles are serialized as their raw 8 bytes (bit-exact
 // round trip — the resume path must reproduce the uninterrupted run's merge
 // inputs exactly). The header payload carries a format version, the grid
-// fingerprint (sweep::Fingerprint) and the task count, so a journal can
-// never be resumed against a different sweep.
+// fingerprint (sweep::Fingerprint of the grid and evaluation options) and
+// the task count, so a journal can never be resumed against a different
+// sweep.
 //
 //  * Duplicate task indices (possible when a crash lands between "task
 //    re-run" and "journal truncated") dedupe first-record-wins.
@@ -39,7 +40,7 @@ inline constexpr std::uint32_t kJournalMagic = 0x574A4C31;  // "WJL1"
 inline constexpr std::uint32_t kJournalVersion = 2;
 
 struct JournalHeader {
-  std::uint64_t fingerprint = 0;  // sweep::Fingerprint of the grid
+  std::uint64_t fingerprint = 0;  // sweep::Fingerprint(grid, eval)
   std::uint64_t num_tasks = 0;
 };
 

@@ -161,7 +161,7 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
   std::vector<char> restored;
   if (!options_.journal_path.empty()) {
     recover::JournalHeader header;
-    header.fingerprint = Fingerprint(grid);
+    header.fingerprint = Fingerprint(grid, options_.eval);
     header.num_tasks = num_tasks;
     recover::JournalWriter::Options jopts;
     jopts.after_append = options_.after_journal_append;
@@ -173,11 +173,12 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
           recover::ReadJournal(options_.journal_path, options_.vfs);
       if (existing.ok && (existing.header.fingerprint != header.fingerprint ||
                           existing.header.num_tasks != header.num_tasks)) {
-        // A *valid* journal from a different grid is caller error, never
-        // silently discarded — resuming over it would destroy good data.
+        // A *valid* journal from a different grid or evaluation model is
+        // caller error, never silently discarded — resuming over it would
+        // destroy good data.
         throw std::runtime_error(
             "cannot resume sweep: journal was written by a different grid "
-            "(fingerprint or task-count mismatch): " +
+            "or evaluation model (fingerprint or task-count mismatch): " +
             options_.journal_path);
       }
       if (existing.ok) {

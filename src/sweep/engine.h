@@ -59,7 +59,8 @@ struct SweepOptions {
   // journal restarts the sweep fresh (with a stderr warning) — a half-dead
   // journal must never stop the run itself. Run still throws
   // std::runtime_error when the journal was written by a *different* grid
-  // (fingerprint/task-count mismatch): that is caller error, not damage.
+  // or evaluation model (Fingerprint(grid, eval) or task-count mismatch):
+  // that is caller error, not damage.
   // Torn/rotted tail records are truncated; duplicates dedupe first-wins.
   bool resume = false;
   // fsync the journal after every append (see JournalWriter::Options).

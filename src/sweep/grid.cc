@@ -201,6 +201,13 @@ std::uint64_t Fingerprint(const SweepGrid& grid) {
   mix_d(b.path_loss.pl0_db);
   mix_d(b.path_loss.exponent);
   mix_d(b.path_loss.tx_power_dbm);
+  mix(b.rate_table.entries().size());
+  for (const wifi::McsEntry& e : b.rate_table.entries()) {
+    mix(static_cast<std::uint64_t>(e.index));
+    mix_d(e.min_rssi_dbm);
+    mix_d(e.phy_rate_mbps);
+  }
+  mix_d(b.rate_table.mac_efficiency());
   mix_d(b.shadowing_sigma_db);
   mix(static_cast<std::uint64_t>(b.plc.source));
   mix(b.plc.measured_anchors.size());
@@ -214,6 +221,18 @@ std::uint64_t Fingerprint(const SweepGrid& grid) {
   mix_d(b.plc.max_capacity_mbps);
   mix_d(b.extender_grid_jitter);
   mix(static_cast<std::uint64_t>(b.max_placement_retries));
+  return h;
+}
+
+std::uint64_t Fingerprint(const SweepGrid& grid,
+                          const model::EvalOptions& eval) {
+  std::uint64_t h = Fingerprint(grid);
+  const auto mix = [&h](std::uint64_t v) { h = util::HashCombine64(h, v); };
+  mix(eval.wifi_channel.size());
+  for (int c : eval.wifi_channel) mix(static_cast<std::uint64_t>(c));
+  mix(eval.wifi_contention_domain.size());
+  for (int d : eval.wifi_contention_domain) mix(static_cast<std::uint64_t>(d));
+  mix(std::bit_cast<std::uint64_t>(eval.carrier_sense_range_m));
   return h;
 }
 

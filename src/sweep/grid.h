@@ -141,10 +141,17 @@ struct SweepGrid {
   TaskSpec TaskAt(std::size_t index) const;
 };
 
-// Order-sensitive hash of everything that determines a sweep's task space
-// and per-task results: master seed, every axis (lengths and values), and
-// the shared scenario parameters. Stamped into the checkpoint journal
-// header so a journal can never be resumed against a different grid.
+// Order-sensitive hash of everything in a grid that determines a sweep's
+// task space and per-task results: master seed, every axis (lengths and
+// values), and the shared scenario parameters, rate table included.
 std::uint64_t Fingerprint(const SweepGrid& grid);
+
+// Fingerprint(grid) with the evaluation options every task shares mixed in:
+// the channel plan, the contention domains and the carrier-sense range
+// (plc_sharing is not, since the sharing axis overrides it per task).
+// Stamped into the checkpoint journal header, so a journal can never be
+// resumed against a different grid or evaluation model.
+std::uint64_t Fingerprint(const SweepGrid& grid,
+                          const model::EvalOptions& eval);
 
 }  // namespace wolt::sweep

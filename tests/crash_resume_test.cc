@@ -248,6 +248,47 @@ TEST(CrashResume, ResumeRejectsForeignJournal) {
   fs::remove(path);
 }
 
+// The rate table and the evaluation options change every task's result, so
+// a journal written under one must not resume under another.
+TEST(CrashResume, ResumeRejectsOtherRateTableOrEvalOptions) {
+  const std::string path =
+      (fs::temp_directory_path() / "wolt_crash_eval.wal").string();
+  {
+    SweepOptions opt = CrashOptions(1);
+    opt.journal_path = path;
+    SweepEngine(opt).Run(CrashGrid());
+  }
+  const auto resume = [&path](const SweepGrid& grid,
+                              const model::EvalOptions& eval) {
+    SweepOptions opt = CrashOptions(1);
+    opt.journal_path = path;
+    opt.resume = true;
+    opt.eval = eval;
+    return SweepEngine(opt).Run(grid);
+  };
+
+  SweepGrid g80211g = CrashGrid();
+  g80211g.base.rate_table = wifi::RateTable::CiscoAironet80211g();
+  EXPECT_THROW(resume(g80211g, {}), std::runtime_error);
+  SweepGrid mac = CrashGrid();
+  mac.base.rate_table = wifi::RateTable::Ieee80211nHt20(0.7);
+  EXPECT_THROW(resume(mac, {}), std::runtime_error);
+
+  model::EvalOptions channels;
+  channels.wifi_channel = {0, 1, 0};
+  EXPECT_THROW(resume(CrashGrid(), channels), std::runtime_error);
+  model::EvalOptions domains;
+  domains.wifi_contention_domain = {0, 0, 1};
+  EXPECT_THROW(resume(CrashGrid(), domains), std::runtime_error);
+  model::EvalOptions range;
+  range.carrier_sense_range_m = 45.0;
+  EXPECT_THROW(resume(CrashGrid(), range), std::runtime_error);
+
+  // The same grid and options still resume (and restore every task).
+  EXPECT_EQ(resume(CrashGrid(), {}).resumed_tasks, CrashGrid().NumTasks());
+  fs::remove(path);
+}
+
 TEST(CrashResume, ResumeOfCompletedSweepRunsNothing) {
   const std::string path =
       (fs::temp_directory_path() / "wolt_crash_complete.wal").string();
