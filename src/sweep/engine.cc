@@ -1,9 +1,14 @@
 #include "sweep/engine.h"
 
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <exception>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 
@@ -58,9 +63,196 @@ void FromRecord(const recover::TaskRecord& rec, const SweepGrid& grid,
   task->completed = true;
 }
 
-// A record from a precomputed (assignment, plan) pair, scored with the
-// caller's (overlap) evaluator — mirrors sim::EvaluateTrial so joint tasks
-// and plan-free tasks populate identical statistics.
+// ---------------------------------------------------------------------------
+// The per-run memo of shared task inputs (see "Shared inputs" in engine.h).
+
+// Names one shared value of a Run. The grid and options are fixed for the
+// Run, so the key determines the value.
+using SlotKey = std::array<std::uint64_t, 4>;
+
+// One value that several tasks derive from the same inputs.
+template <typename T>
+struct Slot {
+  std::size_t owner = 0;  // lowest task index in the grid that uses it
+  std::size_t uses = 0;   // tasks in the grid that use it
+  std::atomic<std::size_t> pending{0};  // users this Run has yet to finish
+  std::mutex mu;                        // held while the value is computed
+  std::optional<T> value;               // read-only once set
+  obs::MetricsSnapshot work;            // the computation's metrics
+};
+
+template <typename T>
+class SlotTable {
+ public:
+  // Counts task `index` as a user of `key`'s slot; `runs` is false for a
+  // task restored from the journal.
+  Slot<T>* Add(const SlotKey& key, std::size_t index, bool runs) {
+    auto [it, fresh] = index_.try_emplace(key, nullptr);
+    if (fresh) {
+      it->second = &slots_.emplace_back();
+      it->second->owner = index;
+    }
+    Slot<T>* slot = it->second;
+    ++slot->uses;
+    if (runs) slot->pending.fetch_add(1, std::memory_order_relaxed);
+    return slot;
+  }
+
+ private:
+  std::map<SlotKey, Slot<T>*> index_;
+  std::deque<Slot<T>> slots_;  // stable addresses
+};
+
+// The policy whose plan-blind association a task uses: at num_channels == 0
+// MakePolicy(kJointWolt) builds the same WoltPolicy as kWolt.
+PolicyKind PlanBlindKind(PolicyKind kind) {
+  return kind == PolicyKind::kJointWolt ? PolicyKind::kWolt : kind;
+}
+
+// The slots one task uses; null where no other task in the grid shares the
+// value, which the task then computes inline.
+struct TaskSlots {
+  Slot<model::Network>* network = nullptr;
+  Slot<model::Assignment>* association = nullptr;
+  Slot<sim::WorkloadTrace>* trace = nullptr;
+};
+
+class SharedInputs {
+ public:
+  SharedInputs(const SweepGrid& grid, const model::EvalOptions& eval,
+               const std::vector<char>& restored)
+      : tasks_(grid.NumTasks()) {
+    // SolveJointNaive associates under `eval` with the channel plan and the
+    // contention domains cleared; only when both are empty already is that
+    // association the channels = 0 task's as well.
+    const bool share_associations =
+        eval.wifi_channel.empty() && eval.wifi_contention_domain.empty();
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      const TaskSpec spec = grid.TaskAt(i);
+      const bool runs = restored.empty() || !restored[i];
+      const std::uint64_t scenario = spec.scenario_ordinal;
+      TaskSlots& t = tasks_[i];
+      // The ordinal fixes users, extenders and replicate seed, and with
+      // them the topology stream; dynamic tasks generate no users.
+      t.network = networks_.Add({scenario, spec.IsDynamic(), 0, 0}, i, runs);
+      if (spec.IsDynamic()) {
+        // The trace seed folds in neither policy, budget nor sharing.
+        if (spec.num_channels <= 0) {
+          t.trace = traces_.Add(
+              {scenario, static_cast<std::uint64_t>(spec.mobility),
+               std::bit_cast<std::uint64_t>(spec.churn_rate),
+               static_cast<std::uint64_t>(spec.load)},
+              i, runs);
+        }
+      } else if (share_associations &&
+                 !(spec.num_channels > 0 &&
+                   spec.policy == PolicyKind::kJointWolt)) {
+        t.association = associations_.Add(
+            {scenario, static_cast<std::uint64_t>(PlanBlindKind(spec.policy)),
+             static_cast<std::uint64_t>(spec.sharing), 0},
+            i, runs);
+      }
+    }
+    for (TaskSlots& t : tasks_) {
+      if (t.network != nullptr && t.network->uses < 2) t.network = nullptr;
+      if (t.association != nullptr && t.association->uses < 2) {
+        t.association = nullptr;
+      }
+      if (t.trace != nullptr && t.trace->uses < 2) t.trace = nullptr;
+    }
+  }
+
+  const TaskSlots& slots(std::size_t index) const { return tasks_[index]; }
+
+ private:
+  SlotTable<model::Network> networks_;
+  SlotTable<model::Assignment> associations_;
+  SlotTable<sim::WorkloadTrace> traces_;
+  std::vector<TaskSlots> tasks_;
+};
+
+// One task's access to its inputs. Releases the task's slots on
+// destruction; a slot's last user frees its value, so memory follows the
+// slots in flight rather than the grid.
+class TaskInputs {
+ public:
+  // `registry` is the task's (null unless collect_metrics).
+  TaskInputs(const SharedInputs& memo, std::size_t index,
+             obs::MetricsRegistry* registry)
+      : slots_(memo.slots(index)), index_(index), registry_(registry) {}
+  ~TaskInputs() {
+    Release(slots_.network);
+    Release(slots_.association);
+    Release(slots_.trace);
+  }
+  TaskInputs(const TaskInputs&) = delete;
+  TaskInputs& operator=(const TaskInputs&) = delete;
+
+  template <typename Compute>
+  const model::Network& Network(Compute&& compute) {
+    return Use(slots_.network, network_, compute);
+  }
+  template <typename Compute>
+  const model::Assignment& Association(Compute&& compute) {
+    return Use(slots_.association, association_, compute);
+  }
+  template <typename Compute>
+  const sim::WorkloadTrace& Trace(Compute&& compute) {
+    return Use(slots_.trace, trace_, compute);
+  }
+
+  // The metrics of the shared computations this task owns, whichever task
+  // ran them.
+  const obs::MetricsSnapshot& owned_work() const { return owned_work_; }
+
+ private:
+  template <typename T, typename Compute>
+  const T& Use(Slot<T>* slot, std::optional<T>& local, Compute& compute) {
+    if (slot == nullptr) return local.emplace(compute());
+    {
+      const std::lock_guard<std::mutex> lock(slot->mu);
+      if (!slot->value) {
+        // Under its own registry, so its work lands on the owner alone
+        // and the run's metrics cannot see which task got here first. A
+        // throw leaves the slot empty for the next user to retry.
+        if (registry_ != nullptr) {
+          obs::MetricsRegistry work;
+          {
+            const obs::ScopedMetrics scoped(work);
+            slot->value.emplace(compute());
+          }
+          slot->work = work.Snapshot();
+        } else {
+          slot->value.emplace(compute());
+        }
+      }
+    }
+    if (slot->owner == index_) owned_work_.Merge(slot->work);
+    return *slot->value;
+  }
+
+  template <typename T>
+  static void Release(Slot<T>* slot) {
+    if (slot != nullptr &&
+        slot->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      slot->value.reset();
+      slot->work = {};
+    }
+  }
+
+  TaskSlots slots_;
+  std::size_t index_;
+  obs::MetricsRegistry* registry_;
+  // Values no other task shares, computed inline.
+  std::optional<model::Network> network_;
+  std::optional<model::Assignment> association_;
+  std::optional<sim::WorkloadTrace> trace_;
+  obs::MetricsSnapshot owned_work_;
+};
+
+// A record from a precomputed assignment, scored with the caller's
+// evaluator (the overlap one for a channel plan): sim::EvaluateTrial minus
+// the association, so every task path populates identical statistics.
 sim::TrialRecord RecordFor(const model::Evaluator& evaluator,
                            const model::Network& net,
                            const model::Assignment& assignment) {
@@ -76,9 +268,12 @@ sim::TrialRecord RecordFor(const model::Evaluator& evaluator,
 // alternating joint solver; every other policy associates plan-blind and is
 // paired with an unweighted colouring (the orthogonal assumption evaluated
 // under overlap). Either way the record is scored under the overlap model.
+// The plan-blind association comes through `inputs`, shared with the
+// scenario's other users of it.
 sim::TrialRecord RunJointTask(const SweepGrid& grid, const TaskSpec& spec,
                               const model::Network& net,
-                              const model::EvalOptions& eval) {
+                              const model::EvalOptions& eval,
+                              TaskInputs& inputs) {
   assign::JointOptions jopt;
   jopt.num_channels = spec.num_channels;
   jopt.carrier_sense_range_m = grid.carrier_sense_range_m;
@@ -88,13 +283,16 @@ sim::TrialRecord RunJointTask(const SweepGrid& grid, const TaskSpec& spec,
     jr = assign::SolveJointAlternating(net, core::WoltJointAssociator(),
                                        jopt);
   } else {
-    const auto associate = [&spec](const model::Network& n,
-                                   const model::EvalOptions& e,
-                                   const model::Assignment& previous,
-                                   const util::Deadline* deadline) {
-      const core::PolicyPtr policy = MakePolicy(spec.policy, e);
-      policy->SetDeadline(deadline);
-      return policy->Associate(n, previous);
+    const auto associate = [&spec, &inputs](
+                               const model::Network& n,
+                               const model::EvalOptions& e,
+                               const model::Assignment& previous,
+                               const util::Deadline* deadline) {
+      return model::Assignment(inputs.Association([&] {
+        const core::PolicyPtr policy = MakePolicy(spec.policy, e);
+        policy->SetDeadline(deadline);
+        return policy->Associate(n, previous);
+      }));
     };
     jr = assign::SolveJointNaive(net, associate, jopt);
   }
@@ -109,25 +307,27 @@ sim::TrialRecord RunJointTask(const SweepGrid& grid, const TaskSpec& spec,
 // shared extenders-only topology, replay it through a CentralController at
 // the budgeted ladder tier and return the frontier statistics. The trace
 // seed folds in only the scenario coordinates plus a domain salt — never
-// policy, budget or sharing — so paired policies replay identical traces.
+// policy, budget or sharing — so paired policies replay identical traces,
+// and the trace comes through `inputs`, generated once for all of them.
 sim::FrontierResult RunFrontierTask(const SweepGrid& grid,
                                     const TaskSpec& spec,
                                     const sim::ScenarioGenerator& generator,
                                     const model::Network& net,
-                                    const model::EvalOptions& eval) {
-  sim::WorkloadParams wp = grid.workload;
-  wp.mobility.model = spec.mobility;
-  wp.arrival_rate = spec.churn_rate;
-  wp.load = spec.load;
-  wp.initial_users = spec.num_users;
-  wp.horizon =
-      grid.frontier_epoch_length * static_cast<double>(grid.frontier_epochs);
-
-  const std::uint64_t trace_seed = util::HashCombine64(
-      util::HashCombine64(grid.master_seed, spec.seed),
-      0x544b4c4f57545243ULL + spec.scenario_ordinal);  // trace-domain salt
-  const sim::WorkloadTrace trace =
-      sim::GenerateTrace(generator, net, wp, trace_seed);
+                                    const model::EvalOptions& eval,
+                                    TaskInputs& inputs) {
+  const sim::WorkloadTrace& trace = inputs.Trace([&] {
+    sim::WorkloadParams wp = grid.workload;
+    wp.mobility.model = spec.mobility;
+    wp.arrival_rate = spec.churn_rate;
+    wp.load = spec.load;
+    wp.initial_users = spec.num_users;
+    wp.horizon = grid.frontier_epoch_length *
+                 static_cast<double>(grid.frontier_epochs);
+    const std::uint64_t trace_seed = util::HashCombine64(
+        util::HashCombine64(grid.master_seed, spec.seed),
+        0x544b4c4f57545243ULL + spec.scenario_ordinal);  // trace-domain salt
+    return sim::GenerateTrace(generator, net, wp, trace_seed);
+  });
 
   sim::FrontierParams fp;
   fp.epoch_length = grid.frontier_epoch_length;
@@ -213,10 +413,11 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
 
   obs::ScopedTimer run_span("sweep.run", "sweep");
   const auto wall_start = std::chrono::steady_clock::now();
+  const SharedInputs shared(grid, options_.eval, restored);
   util::ThreadPool pool(options_.threads);
   const bool complete = pool.ParallelFor(
       num_tasks, options_.chunk,
-      [this, &grid, &result, &journal, &restored](std::size_t index) {
+      [this, &grid, &result, &journal, &restored, &shared](std::size_t index) {
         TaskResult& task = result.tasks[index];
         if (!restored.empty() && restored[index]) return;  // from journal
         task.spec = grid.TaskAt(index);
@@ -245,6 +446,7 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
                                                obs::kLatencyBoundsUs,
                                                /*timing=*/true);
         }
+        TaskInputs inputs(shared, index, registry ? &*registry : nullptr);
 
         const auto start = std::chrono::steady_clock::now();
         {
@@ -252,13 +454,6 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
                                      obs::Tracer::Global(), task_hist);
           try {
             const TaskSpec& spec = task.spec;
-            // Topology stream: a pure function of (master seed, replicate
-            // seed value, scenario coordinates). Policy and sharing axes do
-            // not enter, so paired policies see identical networks.
-            util::Rng rng = util::Rng::Substream(
-                util::HashCombine64(grid.master_seed, spec.seed),
-                spec.scenario_ordinal);
-
             sim::ScenarioParams params = grid.base;
             // Dynamic tasks build the extenders-only topology from the
             // same stream; users come from the trace (the users-axis value
@@ -266,11 +461,20 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
             params.num_users = spec.IsDynamic() ? 0 : spec.num_users;
             params.num_extenders = spec.num_extenders;
             const sim::ScenarioGenerator generator(params);
-            std::optional<model::Network> net;
+            const model::Network* net = nullptr;
             {
               obs::ScopedTimer span("sweep.generate", "sweep",
                                     obs::Tracer::Global(), gen_hist);
-              net.emplace(generator.Generate(rng));
+              net = &inputs.Network([&] {
+                // Topology stream: a pure function of (master seed,
+                // replicate seed value, scenario coordinates). Policy and
+                // sharing axes do not enter, so paired policies see
+                // identical networks.
+                util::Rng rng = util::Rng::Substream(
+                    util::HashCombine64(grid.master_seed, spec.seed),
+                    spec.scenario_ordinal);
+                return generator.Generate(rng);
+              });
             }
 
             model::EvalOptions eval = options_.eval;
@@ -286,8 +490,8 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
                       "dynamic-workload axes are incompatible with the "
                       "channels axis");
                 }
-                const sim::FrontierResult fr =
-                    RunFrontierTask(grid, spec, generator, *net, eval);
+                const sim::FrontierResult fr = RunFrontierTask(
+                    grid, spec, generator, *net, eval, inputs);
                 record.aggregate_mbps = fr.mean_aggregate_mbps;
                 record.jain_fairness = fr.mean_jain;
                 record.user_throughput_mbps = fr.final_user_throughput_mbps;
@@ -296,11 +500,15 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
                 task.reassoc_per_user_epoch = fr.reassoc_per_user_epoch;
                 task.quarantine_trips = fr.quarantine_trips;
               } else if (spec.num_channels > 0) {
-                record = RunJointTask(grid, spec, *net, eval);
+                record = RunJointTask(grid, spec, *net, eval, inputs);
               } else {
-                const model::Evaluator evaluator(eval);
-                const core::PolicyPtr policy = MakePolicy(spec.policy, eval);
-                record = sim::EvaluateTrial(evaluator, *net, *policy);
+                // sim::EvaluateTrial, with the association shared.
+                const model::Assignment& assignment =
+                    inputs.Association([&] {
+                      return MakePolicy(spec.policy, eval)
+                          ->AssociateFresh(*net);
+                    });
+                record = RecordFor(model::Evaluator(eval), *net, assignment);
               }
             }
             task.aggregate_mbps = record.aggregate_mbps;
@@ -325,6 +533,7 @@ SweepResult SweepEngine::Run(const SweepGrid& grid) {
         if (registry) {
           scoped.reset();  // uninstall before reading
           task.metrics = registry->Snapshot();
+          task.metrics.Merge(inputs.owned_work());
         }
         task.completed = true;
         if (journal) journal->Append(ToRecord(task));
