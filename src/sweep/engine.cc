@@ -227,7 +227,13 @@ class TaskInputs {
         }
       }
     }
-    if (slot->owner == index_) owned_work_.Merge(slot->work);
+    const bool owner = slot->owner == index_;
+    if (owner) owned_work_.Merge(slot->work);
+    if (registry_ != nullptr) {
+      registry_->GetCounter(owner ? "sweep.shared.computed"
+                                  : "sweep.shared.reused")
+          .Add(1);
+    }
     return *slot->value;
   }
 
