@@ -16,7 +16,10 @@
 // run's *results* are byte-identical regardless, journaling just turns
 // itself off. Bit-rot tests flip bits in completed journals and assert
 // replay truncates to the last good checksum frame (recover.*.rot_truncated)
-// instead of aborting.
+// instead of aborting. Two more sweep grids share work between tasks
+// (networks, plan-blind associations, traces), so a resume recomputes a
+// value whose owner it restored; the golden's deterministic metrics then
+// catch a shared computation charged twice or to the wrong task.
 //
 // journal_sync_every_append is on throughout so every append is a distinct
 // durable point — the sweep visits resume states that differ record by
@@ -28,6 +31,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "fault/storage.h"
 #include "fleet/runtime.h"
@@ -71,6 +75,40 @@ sweep::SweepGrid SweepCrashGrid() {
   return grid;
 }
 
+// Grids whose tasks share work: 4 seeds x 2 channel counts x 3 policies =
+// 24 tasks, where each scenario's network and its WOLT and Greedy
+// plan-blind associations are computed once and read by the channels = 2
+// tasks (and WOLT-J at 0 channels)...
+sweep::SweepGrid SharedStaticCrashGrid() {
+  sweep::SweepGrid grid;
+  grid.master_seed = 0x5A4EDC4AULL;
+  grid.SeedRange(4);
+  grid.users = {8};
+  grid.extenders = {3};
+  grid.sharing = {model::PlcSharing::kMaxMinActive};
+  grid.num_channels = {0, 2};
+  grid.policies = {sweep::PolicyKind::kWolt, sweep::PolicyKind::kGreedy,
+                   sweep::PolicyKind::kJointWolt};
+  return grid;
+}
+
+// ... and 3 seeds x 2 reopt budgets x 2 policies = 12 trace-frontier tasks,
+// where each scenario's network and trace are computed once for 4 tasks.
+sweep::SweepGrid SharedDynamicCrashGrid() {
+  sweep::SweepGrid grid;
+  grid.master_seed = 0x5A4EDD1AULL;
+  grid.SeedRange(3);
+  grid.users = {6};
+  grid.extenders = {3};
+  grid.sharing = {model::PlcSharing::kMaxMinActive};
+  grid.policies = {sweep::PolicyKind::kWolt, sweep::PolicyKind::kGreedy};
+  grid.mobility = {sim::MobilityModel::kWaypoint};
+  grid.churn_rates = {0.5};
+  grid.reopt_budgets = {1, 2};
+  grid.frontier_oracle_bf_max_users = 4;  // keeps the brute force small
+  return grid;
+}
+
 sweep::SweepOptions SweepCrashOptions(int threads, io::Vfs* vfs,
                                       bool resume) {
   sweep::SweepOptions opt;
@@ -97,14 +135,14 @@ SweepGolden RenderSweep(const sweep::SweepResult& result) {
   return out;
 }
 
-// Shared fixture state, built once: the golden outputs and the op count of
-// one clean journaled run (the exclusive crash/fail index bound).
+// Shared fixture state, built once per grid: the golden outputs and the op
+// count of one clean journaled run (the exclusive crash/fail index bound).
 struct SweepHarness {
-  sweep::SweepGrid grid = SweepCrashGrid();
+  sweep::SweepGrid grid;
   SweepGolden golden;
   std::uint64_t ops = 0;
 
-  SweepHarness() {
+  explicit SweepHarness(sweep::SweepGrid g) : grid(std::move(g)) {
     MemVfs mem;
     FaultVfs counting(mem, StorageFaultParams{}, /*seed=*/0);
     sweep::SweepEngine engine(SweepCrashOptions(1, &counting, false));
@@ -114,13 +152,23 @@ struct SweepHarness {
 };
 
 const SweepHarness& Sweep() {
-  static const SweepHarness harness;
+  static const SweepHarness harness(SweepCrashGrid());
+  return harness;
+}
+
+const SweepHarness& SharedStaticSweep() {
+  static const SweepHarness harness(SharedStaticCrashGrid());
+  return harness;
+}
+
+const SweepHarness& SharedDynamicSweep() {
+  static const SweepHarness harness(SharedDynamicCrashGrid());
   return harness;
 }
 
 // One crash point: run-on-dying-disk at `k`, power cut, resume, compare.
-void CheckSweepCrashPoint(std::uint64_t k, int threads) {
-  const SweepHarness& h = Sweep();
+void CheckSweepCrashPoint(const SweepHarness& h, std::uint64_t k,
+                          int threads) {
   MemVfs mem;
   StorageFaultParams params;
   params.crash_at_op = k;
@@ -159,7 +207,7 @@ TEST(StorageCrashSweep, SixtyFourTasks) {
 
 TEST(StorageCrashSweep, PowerCutAtEveryOpResumesByteIdenticalOneThread) {
   for (std::uint64_t k = 0; k <= Sweep().ops; k += kStride) {
-    CheckSweepCrashPoint(k, /*threads=*/1);
+    CheckSweepCrashPoint(Sweep(), k, /*threads=*/1);
   }
 }
 
@@ -169,7 +217,38 @@ TEST(StorageCrashSweep, PowerCutAtEveryOpResumesByteIdenticalFourThreads) {
   // for any of them. (ops from the 1-thread run bounds the index range;
   // indices past the actual count degenerate to a clean run, also fine.)
   for (std::uint64_t k = 0; k <= Sweep().ops; k += kStride) {
-    CheckSweepCrashPoint(k, /*threads=*/4);
+    CheckSweepCrashPoint(Sweep(), k, /*threads=*/4);
+  }
+}
+
+// With shared work, a resume must charge a shared computation's metrics
+// only to a slot owner it re-runs: a restored owner's record already
+// carries them, whichever task recomputes the value now.
+TEST(StorageCrashSweep, PowerCutWithSharedAssociationsOneThread) {
+  const SweepHarness& h = SharedStaticSweep();
+  for (std::uint64_t k = 0; k <= h.ops; k += kStride) {
+    CheckSweepCrashPoint(h, k, /*threads=*/1);
+  }
+}
+
+TEST(StorageCrashSweep, PowerCutWithSharedAssociationsFourThreads) {
+  const SweepHarness& h = SharedStaticSweep();
+  for (std::uint64_t k = 0; k <= h.ops; k += kStride) {
+    CheckSweepCrashPoint(h, k, /*threads=*/4);
+  }
+}
+
+TEST(StorageCrashSweep, PowerCutWithSharedTracesOneThread) {
+  const SweepHarness& h = SharedDynamicSweep();
+  for (std::uint64_t k = 0; k <= h.ops; k += kStride) {
+    CheckSweepCrashPoint(h, k, /*threads=*/1);
+  }
+}
+
+TEST(StorageCrashSweep, PowerCutWithSharedTracesFourThreads) {
+  const SweepHarness& h = SharedDynamicSweep();
+  for (std::uint64_t k = 0; k <= h.ops; k += kStride) {
+    CheckSweepCrashPoint(h, k, /*threads=*/4);
   }
 }
 
@@ -395,7 +474,7 @@ TEST(StorageCrashRandomized, TwentyRandomCrashPoints) {
     if (i % 2 == 0) {
       const std::uint64_t k = static_cast<std::uint64_t>(
           rng.UniformInt(0, static_cast<int>(Sweep().ops)));
-      CheckSweepCrashPoint(k, threads);
+      CheckSweepCrashPoint(Sweep(), k, threads);
     } else {
       const std::uint64_t k = static_cast<std::uint64_t>(
           rng.UniformInt(0, static_cast<int>(Fleet().ops)));
