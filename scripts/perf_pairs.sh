@@ -1,55 +1,58 @@
 #!/usr/bin/env bash
 # Before/after benchmark pairs: the working tree against a git ref.
 #
-#   scripts/perf_pairs.sh <ref> [--workload W] [--seed N] [--pairs N]
-#                               [--seconds S]
+#   scripts/perf_pairs.sh <ref> [--workload W] [--seed N[,N...]]
+#                               [--pairs N] [--seconds S]
 #
 # Exports <ref> (a commit, branch or tag) with `git archive` into a fresh
 # directory under ${TMPDIR:-/tmp}, builds it and the working tree each
 # into its own CARGO_TARGET_DIR there (neither checkout's .bench_build is
 # touched), then runs N pairs (default 10) of
 #   python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
-# for one workload (default building) and seed (default 1), 30 s per run
-# by default, alternating which side runs first. Host noise comes in
-# spells of minutes, so only pairs run back to back compare.
+# for one workload (default building) and each listed seed in turn
+# (default 1; e.g. --seed 1,7919), 30 s per run by default, alternating
+# which side runs first. Host noise comes in spells of minutes, so only
+# pairs run back to back compare.
 #
-# For every end-to-end metric in BENCHMARK.json it prints the ref's and the
-# working tree's medians, the ref's quartiles, the change of the medians,
-# whether that change exceeds the ref's interquartile range, and in how
-# many pairs the working tree was better (by the metric's "better"
-# direction). It also prints the failed-operation counts. Nothing in the
-# repository is written; the temporary directory is removed on exit.
+# For each seed and every end-to-end metric in BENCHMARK.json it prints the
+# ref's and the working tree's medians, the ref's quartiles, the change of
+# the medians, whether that change exceeds the ref's interquartile range,
+# and in how many pairs the working tree was better (by the metric's
+# "better" direction). It also prints the failed-operation counts. Nothing
+# in the repository is written; the temporary directory is removed on
+# exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/perf_pairs.sh <ref> [--workload W] [--seed N] [--pairs N] [--seconds S]"
+usage="usage: scripts/perf_pairs.sh <ref> [--workload W] [--seed N[,N...]] [--pairs N] [--seconds S]"
 ref="${1:?${usage}}"
 shift
 workload=building
-seed=1
+seeds=1
 pairs=10
 seconds=30
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --workload) workload="$2"; shift 2 ;;
-    --seed) seed="$2"; shift 2 ;;
+    --seed) seeds="$2"; shift 2 ;;
     --pairs) pairs="$2"; shift 2 ;;
     --seconds) seconds="$2"; shift 2 ;;
     *) echo "${usage}" >&2; exit 2 ;;
   esac
 done
+IFS=, read -r -a seed_list <<<"${seeds}"
 
 work="$(mktemp -d -t perf_pairs.XXXXXX)"
 trap 'rm -rf "${work}"' EXIT
 mkdir "${work}/base"
 git archive --format=tar "${ref}" | tar -x -C "${work}/base"
 
-# run <side> <checkout>: one benchmark run, its JSON line appended to
-# ${work}/<side>.jsonl.
+# run <side> <checkout> <seed>: one benchmark run, its JSON line appended
+# to ${work}/<side>-<seed>.jsonl.
 run() {
   (cd "$2" && CARGO_TARGET_DIR="${work}/target-$1" python3 perfbench/run.py \
-      --workload "${workload}" --seed "${seed}" --seconds "${seconds}" \
-      --trace 0 2>/dev/null | tail -n 1) >>"${work}/$1.jsonl"
+      --workload "${workload}" --seed "$3" --seconds "${seconds}" \
+      --trace 0 2>/dev/null | tail -n 1) >>"${work}/$1-$3.jsonl"
 }
 
 echo "==> building ${ref} and the working tree"
@@ -61,18 +64,24 @@ for side in base head; do
     { echo "error: building ${side} failed" >&2; exit 1; }
 done
 
-for ((k = 1; k <= pairs; ++k)); do
-  echo "==> pair ${k}/${pairs}: ${workload}, seed ${seed}, ${seconds} s"
-  if ((k % 2)); then
-    run base "${work}/base"
-    run head "${PWD}"
-  else
-    run head "${PWD}"
-    run base "${work}/base"
-  fi
+for seed in "${seed_list[@]}"; do
+  for ((k = 1; k <= pairs; ++k)); do
+    echo "==> pair ${k}/${pairs}: ${workload}, seed ${seed}, ${seconds} s"
+    if ((k % 2)); then
+      run base "${work}/base" "${seed}"
+      run head "${PWD}" "${seed}"
+    else
+      run head "${PWD}" "${seed}"
+      run base "${work}/base" "${seed}"
+    fi
+  done
 done
 
-python3 - "${work}/base.jsonl" "${work}/head.jsonl" "${ref}" <<'PY'
+for seed in "${seed_list[@]}"; do
+  echo
+  echo "==> ${workload}, seed ${seed}"
+  python3 - "${work}/base-${seed}.jsonl" "${work}/head-${seed}.jsonl" \
+      "${ref}" <<'PY'
 import json
 import statistics
 import sys
@@ -115,3 +124,4 @@ for label, runs in (("base", base), ("head", head)):
           % (label, [r["failed"] for r in runs],
              sum(not r["correct"] for r in runs)))
 PY
+done

@@ -12,6 +12,31 @@
 //    pool drains, never concurrently.
 // Per-task wall-clock timings are recorded for profiling but excluded from
 // reporters by default — they are the only thread-count-dependent output.
+//
+// Shared inputs (tested by tests/sweep_shared_test.cc): within one Run, a
+// value several tasks derive from the same inputs is computed once, by
+// whichever of them gets there first, and read by all of them:
+//  * the scenario network, keyed by (scenario ordinal, static or dynamic);
+//  * the plan-blind association, keyed by (scenario ordinal, policy,
+//    sharing), read by the channels = 0 task (WOLT-J there counts as WOLT)
+//    and by SolveJointNaive's associate call in every channels > 0 task but
+//    WOLT-J's. Only when SweepOptions::eval carries no wifi_channel and no
+//    wifi_contention_domain, since only then is that call's plan-blind
+//    EvalOptions the channels = 0 task's;
+//  * the workload trace, keyed by (scenario ordinal, mobility, churn rate,
+//    load curve).
+// A value only one task of the grid uses is computed inline. A shared
+// value is computed under its slot's mutex, read-only afterwards, and freed
+// when the last task of this Run that uses it finishes, so memory follows
+// the slots in flight rather than the grid. The task records are the same
+// bytes as without the memo. With collect_metrics, a shared computation
+// runs under its own registry and its snapshot is charged to the slot's
+// owner: the lowest task index in the whole grid, restored tasks included,
+// that uses it, whichever task computed it. A restored owner's journal
+// record already carries the charge, so a recomputation after a resume
+// charges nothing. The owner also counts sweep.shared.computed and every
+// other user sweep.shared.reused. The merged metrics are therefore the same
+// at any thread count and after a kill anywhere.
 #pragma once
 
 #include <atomic>
@@ -43,7 +68,8 @@ struct SweepOptions {
   std::function<void(std::size_t)> before_task;
   // Collect structured metrics: each task runs under its own
   // obs::MetricsRegistry (solver/evaluator hooks feed it), snapshots land in
-  // TaskResult::metrics, and SweepResult::metrics is their fold in
+  // TaskResult::metrics (with the shared computations each task owns; see
+  // "Shared inputs" above), and SweepResult::metrics is their fold in
   // task-index order. The deterministic section of the merged snapshot is
   // byte-identical across thread counts (tests/obs_golden_test.cc).
   bool collect_metrics = false;
