@@ -109,8 +109,8 @@ PolicyKind PlanBlindKind(PolicyKind kind) {
   return kind == PolicyKind::kJointWolt ? PolicyKind::kWolt : kind;
 }
 
-// The slots one task uses; null where no other task in the grid shares the
-// value, which the task then computes inline.
+// The slots one task uses; null for a value it does not use or (the
+// association, when SweepOptions::eval carries a plan) must not share.
 struct TaskSlots {
   Slot<model::Network>* network = nullptr;
   Slot<model::Assignment>* association = nullptr;
@@ -152,13 +152,6 @@ class SharedInputs {
              static_cast<std::uint64_t>(spec.sharing), 0},
             i, runs);
       }
-    }
-    for (TaskSlots& t : tasks_) {
-      if (t.network != nullptr && t.network->uses < 2) t.network = nullptr;
-      if (t.association != nullptr && t.association->uses < 2) {
-        t.association = nullptr;
-      }
-      if (t.trace != nullptr && t.trace->uses < 2) t.trace = nullptr;
     }
   }
 
@@ -208,7 +201,9 @@ class TaskInputs {
  private:
   template <typename T, typename Compute>
   const T& Use(Slot<T>* slot, std::optional<T>& local, Compute& compute) {
-    if (slot == nullptr) return local.emplace(compute());
+    // Inline when the memo keeps no slot for the value or no other task of
+    // the grid uses it.
+    if (slot == nullptr || slot->uses < 2) return local.emplace(compute());
     {
       const std::lock_guard<std::mutex> lock(slot->mu);
       if (!slot->value) {
@@ -249,7 +244,7 @@ class TaskInputs {
   TaskSlots slots_;
   std::size_t index_;
   obs::MetricsRegistry* registry_;
-  // Values no other task shares, computed inline.
+  // Values no other task uses, computed inline.
   std::optional<model::Network> network_;
   std::optional<model::Assignment> association_;
   std::optional<sim::WorkloadTrace> trace_;
