@@ -118,7 +118,7 @@ void Fill(const sim::TrialRecord& record, TaskResult* task) {
   for (double x : record.user_throughput_mbps) task->user_throughput.Add(x);
 }
 
-// One task from scratch, as the engine's task body defines it.
+// One task computed afresh, as the engine's task body defines it.
 TaskResult Rederive(const SweepGrid& grid, const model::EvalOptions& shared,
                     std::size_t index) {
   TaskResult task;
