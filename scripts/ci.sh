@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build + tests, every target built and the suite run with
-# observability compiled out (-DWOLT_OBS=OFF), the full suite under
-# ASan/UBSan, the full suite under TSan (the sweep engine's thread pool
-# races would be invisible to ASan), storage-fault smokes (exhaustive
-# crash-point harness in the default and ASan builds, randomized crash
-# points under TSan), the fig6a_cdf.csv and joint-sweep (--channels=3)
-# goldens, a parallel-determinism smoke (a 4-thread sweep must emit
-# byte-identical CSV to a 1-thread sweep), a chaos smoke checked against its
-# committed table, the Fig. 6b/6c online-epoch goldens, the repository
+# CI gate: tier-1 build (compiler warnings are errors) + tests, every target
+# built and the suite run with observability compiled out (-DWOLT_OBS=OFF),
+# the full suite under ASan/UBSan, the full suite under TSan (the sweep
+# engine's thread pool races would be invisible to ASan), storage-fault
+# smokes (exhaustive crash-point harness in the default and ASan builds,
+# randomized crash points under TSan), the fig6a_cdf.csv and joint-sweep
+# (--channels=3) goldens, a parallel-determinism smoke (a 4-thread sweep must
+# emit byte-identical CSV to a 1-thread sweep), a chaos smoke checked against
+# its committed table, the Fig. 6b/6c online-epoch goldens, the repository
 # benchmark's output checks (perfbench/), two perf gates (obs hooks <= 5%,
 # Vfs storage seam <= 1%) and a syntax check of scripts/perf_pairs.sh. Run
 # from anywhere; everything happens at the repo root.
@@ -100,8 +100,8 @@ fi
 echo "==> scripts: perf_pairs.sh parses (bash -n; it is run by hand)"
 bash -n scripts/perf_pairs.sh
 
-echo "==> tier-1: configure + build (build/)"
-cmake --preset default >/dev/null
+echo "==> tier-1: configure + build (build/, warnings are errors)"
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j"$(nproc)"
 
 echo "==> tier-1: ctest"

@@ -136,8 +136,8 @@ class ControllerCaseStudy : public ::testing::Test {
     EXPECT_EQ(cc.HandleCapacityReport({1, 20.0}), HandleStatus::kOk);
     return cc;
   }
-  ScanReport User1() { return {101, {15.0, 10.0}, {}, {}}; }
-  ScanReport User2() { return {102, {40.0, 20.0}, {}, {}}; }
+  ScanReport User1() { return {101, {15.0, 10.0}, {}, {}, {}}; }
+  ScanReport User2() { return {102, {40.0, 20.0}, {}, {}, {}}; }
 };
 
 TEST_F(ControllerCaseStudy, RejectsBadConstruction) {
@@ -211,7 +211,7 @@ TEST_F(ControllerCaseStudy, BadMessagesRejectedWithoutThrowing) {
                 {0, std::numeric_limits<double>::quiet_NaN()}),
             HandleStatus::kMalformed);
   // Wrong rate count.
-  EXPECT_EQ(cc.HandleUserArrival({1, {10.0}, {}, {}}).status,
+  EXPECT_EQ(cc.HandleUserArrival({1, {10.0}, {}, {}, {}}).status,
             HandleStatus::kMalformed);
   EXPECT_EQ(cc.NumUsers(), 0u);
   ASSERT_TRUE(cc.HandleUserArrival(User1()).ok());
@@ -220,12 +220,12 @@ TEST_F(ControllerCaseStudy, BadMessagesRejectedWithoutThrowing) {
             HandleStatus::kDuplicateUser);
   EXPECT_EQ(cc.NumUsers(), 1u);
   EXPECT_EQ(cc.HandleUserDeparture(999), HandleStatus::kUnknownUser);
-  EXPECT_EQ(cc.HandleScanUpdate({999, {1.0, 1.0}, {}, {}}).status,
+  EXPECT_EQ(cc.HandleScanUpdate({999, {1.0, 1.0}, {}, {}, {}}).status,
             HandleStatus::kUnknownUser);
   // A malformed update must not clobber the stored measurements.
   EXPECT_EQ(
       cc.HandleScanUpdate(
-            {101, {std::numeric_limits<double>::infinity(), 1.0}, {}, {}})
+            {101, {std::numeric_limits<double>::infinity(), 1.0}, {}, {}, {}})
           .status,
       HandleStatus::kMalformed);
   EXPECT_NEAR(cc.network().WifiRate(0, 0), 15.0, 1e-12);
@@ -245,7 +245,7 @@ class LossyWireTest : public ::testing::Test {
 
 TEST_F(LossyWireTest, AckClearsPendingDirective) {
   CentralController cc = Make();
-  const auto r = cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});
+  const auto r = cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});
   ASSERT_EQ(r.directives.size(), 1u);
   EXPECT_EQ(cc.PendingDirectives(), 1u);
   EXPECT_EQ(cc.HandleDirectiveAck({101, r.directives[0].extender}),
@@ -260,8 +260,8 @@ TEST_F(LossyWireTest, AckClearsPendingDirective) {
 
 TEST_F(LossyWireTest, StaleAckDoesNotClearNewerDirective) {
   CentralController cc = Make();
-  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});  // -> extender 0
-  cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}});  // moves 101 -> 1
+  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});  // -> extender 0
+  cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}, {}});  // moves 101 -> 1
   ASSERT_EQ(cc.ExtenderOf(101), 1);
   // A late ack for the original directive (extender 0) must not clear the
   // pending move to extender 1.
@@ -279,7 +279,7 @@ TEST_F(LossyWireTest, RetriesBackOffExponentiallyAndGiveUp) {
   retry.max_backoff = 8.0;
   retry.max_attempts = 4;
   CentralController cc = Make(retry);
-  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});  // attempt 1 sent
+  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});  // attempt 1 sent
   EXPECT_EQ(cc.PendingDirectives(), 1u);
 
   // Not due yet.
@@ -308,14 +308,14 @@ TEST_F(LossyWireTest, ScanReconciliationReissuesLostDirective) {
   RetryParams retry;
   retry.max_attempts = 1;  // give up immediately after the first send
   CentralController cc = Make(retry);
-  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});  // believed: extender 0
+  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});  // believed: extender 0
   cc.AdvanceTime(10.0);
   cc.CollectRetries();  // abandons the unacked directive
   EXPECT_EQ(cc.PendingDirectives(), 0u);
 
   // The client never got the directive: it is still camped nowhere, and its
   // next scan says so. The CC re-issues the believed association.
-  ScanReport scan{101, {15.0, 10.0}, {}, -1};
+  ScanReport scan{101, {15.0, 10.0}, {}, -1, {}};
   const auto result = cc.HandleScanUpdate(scan);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.directives.size(), 1u);
@@ -325,15 +325,15 @@ TEST_F(LossyWireTest, ScanReconciliationReissuesLostDirective) {
 
   // Once the client confirms the right extender, scans are quiet again.
   cc.HandleDirectiveAck({101, 0});
-  ScanReport agree{101, {15.0, 10.0}, {}, 0};
+  ScanReport agree{101, {15.0, 10.0}, {}, 0, {}};
   EXPECT_TRUE(cc.HandleScanUpdate(agree).directives.empty());
 }
 
 TEST_F(LossyWireTest, StaleUsersAreEvicted) {
   CentralController cc = Make();
-  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});
+  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});
   cc.AdvanceTime(5.0);
-  cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}});
+  cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}, {}});
   EXPECT_EQ(cc.ScanAge(101), 5.0);
   EXPECT_EQ(cc.ScanAge(102), 0.0);
   EXPECT_TRUE(std::isinf(cc.ScanAge(999)));
@@ -349,7 +349,7 @@ TEST_F(LossyWireTest, StaleUsersAreEvicted) {
 
   // A fresh scan keeps a user alive indefinitely.
   cc.AdvanceTime(9.0);
-  cc.HandleScanUpdate({102, {40.0, 20.0}, {}, {}});
+  cc.HandleScanUpdate({102, {40.0, 20.0}, {}, {}, {}});
   EXPECT_TRUE(cc.EvictStale(4.0).empty());
 }
 
@@ -357,7 +357,7 @@ TEST(ControllerTest, IdsStayStableAcrossDepartures) {
   CentralController cc(1, std::make_unique<RssiPolicy>());
   cc.HandleCapacityReport({0, 100.0});
   for (std::int64_t id = 1; id <= 5; ++id) {
-    cc.HandleUserArrival({id, {20.0}, {}, {}});
+    cc.HandleUserArrival({id, {20.0}, {}, {}, {}});
   }
   cc.HandleUserDeparture(2);
   cc.HandleUserDeparture(4);
@@ -367,7 +367,7 @@ TEST(ControllerTest, IdsStayStableAcrossDepartures) {
   EXPECT_TRUE(cc.ExtenderOf(5).has_value());
   EXPECT_FALSE(cc.ExtenderOf(2).has_value());
   // Arrivals after removal still work.
-  cc.HandleUserArrival({6, {20.0}, {}, {}});
+  cc.HandleUserArrival({6, {20.0}, {}, {}, {}});
   EXPECT_EQ(cc.NumUsers(), 4u);
   EXPECT_TRUE(cc.ExtenderOf(6).has_value());
 }
@@ -377,7 +377,7 @@ TEST(ControllerTest, RssiFromScanReportGuidesRssiPolicy) {
   CentralController cc(2, std::make_unique<RssiPolicy>());
   cc.HandleCapacityReport({0, 100.0});
   cc.HandleCapacityReport({1, 100.0});
-  ScanReport report{1, {20.0, 20.0}, {-75.0, -55.0}, {}};
+  ScanReport report{1, {20.0, 20.0}, {-75.0, -55.0}, {}, {}};
   cc.HandleUserArrival(report);
   EXPECT_EQ(cc.ExtenderOf(1), 1);
 }
@@ -403,12 +403,12 @@ TEST(ErrorCategoryTest, EveryHandleStatusMapsToItsSupervisionClass) {
 TEST(ErrorCategoryTest, HandleResultExposesItsCategory) {
   CentralController cc(1, std::make_unique<RssiPolicy>());
   cc.HandleCapacityReport({0, 100.0});
-  const HandleResult ok = cc.HandleUserArrival({1, {20.0}, {}, {}});
+  const HandleResult ok = cc.HandleUserArrival({1, {20.0}, {}, {}, {}});
   EXPECT_EQ(ok.category(), ErrorCategory::kNone);
-  const HandleResult dup = cc.HandleUserArrival({1, {20.0}, {}, {}});
+  const HandleResult dup = cc.HandleUserArrival({1, {20.0}, {}, {}, {}});
   EXPECT_EQ(dup.status, HandleStatus::kDuplicateUser);
   EXPECT_EQ(dup.category(), ErrorCategory::kStateConflict);
-  const HandleResult bad = cc.HandleUserArrival({2, {20.0, 30.0}, {}, {}});
+  const HandleResult bad = cc.HandleUserArrival({2, {20.0, 30.0}, {}, {}, {}});
   EXPECT_EQ(bad.status, HandleStatus::kMalformed);
   EXPECT_EQ(bad.category(), ErrorCategory::kWireFault);
   EXPECT_TRUE(ToString(ErrorCategory::kProgrammingError) != nullptr);
@@ -423,10 +423,10 @@ TEST(ReoptTierTest, FullTierMatchesUnbudgetedReoptimize) {
     CentralController cc(2, std::make_unique<WoltPolicy>());
     cc.HandleCapacityReport({0, 60.0});
     cc.HandleCapacityReport({1, 20.0});
-    cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});
-    cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}});
+    cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});
+    cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}, {}});
     cc.HandleUserDeparture(101);
-    cc.HandleUserArrival({103, {25.0, 35.0}, {}, {}});
+    cc.HandleUserArrival({103, {25.0, 35.0}, {}, {}, {}});
     return cc;
   };
   CentralController a = build();
@@ -449,8 +449,8 @@ TEST(ReoptTierTest, DegradedTiersNeverHarmTheAggregate) {
     CentralController cc(2, std::make_unique<WoltPolicy>());
     cc.HandleCapacityReport({0, 60.0});
     cc.HandleCapacityReport({1, 20.0});
-    cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});
-    cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}});
+    cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});
+    cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}, {}});
     const double before = cc.CurrentAggregate();
     const ReoptReport report = cc.ReoptimizeAtTier(tier);
     EXPECT_TRUE(report.budget_limited) << ToString(tier);
@@ -501,11 +501,11 @@ TEST(ControllerStateTest, SaveRestoreIsBehaviorallyEquivalent) {
   CentralController cc(2, std::make_unique<WoltPolicy>());
   cc.HandleCapacityReport({0, 60.0});
   cc.HandleCapacityReport({1, 20.0});
-  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});
+  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});
   cc.AdvanceTime(1.0);
-  cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}});
+  cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}, {}});
   cc.HandleUserDeparture(101);
-  cc.HandleUserArrival({103, {25.0, 35.0}, {}, {}});
+  cc.HandleUserArrival({103, {25.0, 35.0}, {}, {}, {}});
 
   std::string blob;
   cc.SaveState(&blob);
@@ -520,9 +520,9 @@ TEST(ControllerStateTest, SaveRestoreIsBehaviorallyEquivalent) {
     EXPECT_EQ(restored.ExtenderOf(id), cc.ExtenderOf(id)) << "user " << id;
   }
   // The restored twin must also *behave* identically from here on.
-  const HandleResult ra = cc.HandleScanUpdate({103, {5.0, 45.0}, {}, {}});
+  const HandleResult ra = cc.HandleScanUpdate({103, {5.0, 45.0}, {}, {}, {}});
   const HandleResult rb =
-      restored.HandleScanUpdate({103, {5.0, 45.0}, {}, {}});
+      restored.HandleScanUpdate({103, {5.0, 45.0}, {}, {}, {}});
   EXPECT_EQ(ra.status, rb.status);
   EXPECT_EQ(ra.directives.size(), rb.directives.size());
   cc.Reoptimize();
@@ -539,14 +539,14 @@ TEST(ControllerStateTest, MalformedBlobLeavesControllerUntouched) {
   CentralController cc(2, std::make_unique<WoltPolicy>());
   cc.HandleCapacityReport({0, 60.0});
   cc.HandleCapacityReport({1, 20.0});
-  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});
+  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});
   std::string blob;
   cc.SaveState(&blob);
 
   // Truncated blob: rejected, state intact (all-or-nothing restore).
   CentralController victim(2, std::make_unique<WoltPolicy>());
   victim.HandleCapacityReport({0, 10.0});
-  victim.HandleUserArrival({7, {5.0, 0.0}, {}, {}});
+  victim.HandleUserArrival({7, {5.0, 0.0}, {}, {}, {}});
   const double before = victim.CurrentAggregate();
   std::string truncated = blob.substr(0, blob.size() / 2);
   util::ByteCursor cur(truncated);

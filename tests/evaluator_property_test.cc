@@ -27,6 +27,13 @@
 namespace wolt::model {
 namespace {
 
+// Default evaluation options under the given PLC sharing mode.
+EvalOptions SharingOptions(PlcSharing mode) {
+  EvalOptions options;
+  options.plc_sharing = mode;
+  return options;
+}
+
 constexpr double kAbsTol = 1e-6;
 constexpr double kRelTol = 1e-9;
 
@@ -89,7 +96,7 @@ Scenario RandomScenario(util::Rng& rng) {
 
 void CheckInvariants(const Scenario& s, PlcSharing mode,
                      const std::string& what) {
-  Evaluator evaluator(EvalOptions{.plc_sharing = mode});
+  Evaluator evaluator(SharingOptions(mode));
   const EvalResult res = evaluator.Evaluate(s.net, s.assign);
 
   ASSERT_EQ(res.user_throughput_mbps.size(), s.net.NumUsers()) << what;
@@ -187,7 +194,7 @@ void CheckCapacityMonotonicity(const Scenario& s, PlcSharing mode,
   }
   if (alive.empty()) return;
 
-  Evaluator evaluator(EvalOptions{.plc_sharing = mode});
+  Evaluator evaluator(SharingOptions(mode));
   const double before = evaluator.Evaluate(s.net, s.assign).aggregate_mbps;
 
   Network boosted = s.net;
@@ -240,8 +247,8 @@ TEST(EvaluatorPropertyTest, OrthogonalPlanBitIdenticalToNoPlan) {
     std::vector<int> plan(s.net.NumExtenders());
     for (std::size_t j = 0; j < plan.size(); ++j) plan[j] = static_cast<int>(j);
     for (const PlcSharing mode : kAllModes) {
-      const Evaluator plain(EvalOptions{.plc_sharing = mode});
-      EvalOptions channelled{.plc_sharing = mode};
+      const Evaluator plain(SharingOptions(mode));
+      EvalOptions channelled = SharingOptions(mode);
       channelled.wifi_channel = plan;
       channelled.carrier_sense_range_m = 60.0;
       const EvalResult base = plain.Evaluate(s.net, s.assign);
@@ -280,7 +287,7 @@ TEST(EvaluatorPropertyTest, SymmetricUsersGetEqualShares) {
       assign.Assign(i, 0);           // all on the same cell
     }
     for (const PlcSharing mode : kAllModes) {
-      const Evaluator evaluator(EvalOptions{.plc_sharing = mode});
+      const Evaluator evaluator(SharingOptions(mode));
       const EvalResult res = evaluator.Evaluate(net, assign);
       for (std::size_t i = 1; i < num_users; ++i) {
         EXPECT_NEAR(res.user_throughput_mbps[i], res.user_throughput_mbps[0],

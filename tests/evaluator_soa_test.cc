@@ -27,6 +27,13 @@
 namespace wolt::model {
 namespace {
 
+// Default evaluation options under the given PLC sharing mode.
+EvalOptions SharingOptions(PlcSharing mode) {
+  EvalOptions options;
+  options.plc_sharing = mode;
+  return options;
+}
+
 constexpr int kNumScenarios = 300;
 
 const PlcSharing kAllModes[] = {PlcSharing::kMaxMinActive,
@@ -124,7 +131,7 @@ TEST_P(EvaluatorSoaTest, BitIdenticalToReferenceSaturated) {
   EvalScratch ref_scratch;
   for (int k = 0; k < kNumScenarios; ++k) {
     const Scenario s = RandomScenario(rng, /*with_demands=*/false);
-    Evaluator evaluator(EvalOptions{.plc_sharing = GetParam()});
+    Evaluator evaluator(SharingOptions(GetParam()));
     const EvalResult fast = evaluator.Evaluate(s.net, s.assign, fast_scratch);
     const EvalResult ref =
         evaluator.EvaluateReference(s.net, s.assign, ref_scratch);
@@ -138,7 +145,7 @@ TEST_P(EvaluatorSoaTest, BitIdenticalToReferenceWithDemands) {
   EvalScratch ref_scratch;
   for (int k = 0; k < kNumScenarios; ++k) {
     const Scenario s = RandomScenario(rng, /*with_demands=*/true);
-    Evaluator evaluator(EvalOptions{.plc_sharing = GetParam()});
+    Evaluator evaluator(SharingOptions(GetParam()));
     const EvalResult fast = evaluator.Evaluate(s.net, s.assign, fast_scratch);
     const EvalResult ref =
         evaluator.EvaluateReference(s.net, s.assign, ref_scratch);
@@ -152,7 +159,7 @@ TEST_P(EvaluatorSoaTest, BitIdenticalUnderWifiContention) {
   EvalScratch ref_scratch;
   for (int k = 0; k < kNumScenarios / 3; ++k) {
     const Scenario s = RandomScenario(rng, /*with_demands=*/false);
-    EvalOptions opts{.plc_sharing = GetParam()};
+    EvalOptions opts = SharingOptions(GetParam());
     // All cells share one WiFi channel — the harshest contention layout.
     opts.wifi_contention_domain.assign(s.net.NumExtenders(), 0);
     Evaluator evaluator(opts);

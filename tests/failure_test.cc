@@ -121,8 +121,8 @@ TEST(FailureTest, ControllerEvacuatesAfterCapacityLoss) {
   core::CentralController cc(2, std::make_unique<core::WoltPolicy>());
   cc.HandleCapacityReport({0, 60.0});
   cc.HandleCapacityReport({1, 20.0});
-  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}});
-  cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}});
+  cc.HandleUserArrival({101, {15.0, 10.0}, {}, {}, {}});
+  cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}, {}});
   ASSERT_NEAR(cc.CurrentAggregate(), 40.0, 1e-9);
 
   // Extender 1's power line dies; the next probe reports 0.

@@ -144,7 +144,9 @@ TEST(IoGoldenTest, ByteSoupNeverCrashes) {
     std::string text(static_cast<std::size_t>(rng.UniformInt(0, 400)), '\0');
     for (char& c : text) c = static_cast<char>(rng.UniformInt(0, 255));
     const LoadResult res = NetworkFromStringDetailed(text);
-    if (!res.ok()) EXPECT_NE(res.error.kind, IoErrorKind::kNone);
+    if (!res.ok()) {
+      EXPECT_NE(res.error.kind, IoErrorKind::kNone);
+    }
   }
 }
 

@@ -208,7 +208,9 @@ TEST(SweepDeterminismTest, ShuffledCompletionOrderChangesNothing) {
 
 TEST(SweepDeterminismTest, RepeatedRunsAreIdentical) {
   const SweepGrid grid = TestGrid();
-  SweepEngine engine(SweepOptions{.threads = 4});
+  SweepOptions options;
+  options.threads = 4;
+  SweepEngine engine(options);
   const SweepResult first = engine.Run(grid);
   const SweepResult second = engine.Run(grid);  // engine state must not leak
   ExpectBitIdentical(first, second, "rerun");
