@@ -789,6 +789,20 @@ LocalSearchStats RelocateWifi(const SearchContext& ctx,
 // Evaluator-backed objectives (kEndToEnd / kProportionalFair): every
 // candidate move delegates to model::IncrementalEvaluator (O(|PLC domain|)
 // per move, allocation-free). No full Evaluator run happens per move.
+//
+// Under co-channel contention the end-to-end search first reads the
+// engine's demand bound (MoveDemandBound / SwapDemandBound), an exact upper
+// bound on the peek's aggregate, and skips the peek when the bound cannot
+// beat the acceptance threshold. The skipped candidate could not have been
+// accepted, so the search visits, accepts and rejects the same moves; its
+// tally counts the candidate as pruned.
+
+// True when `inc` can bound `objective`'s peeks (see above).
+bool ScreensPeeks(const model::IncrementalEvaluator& inc,
+                  Phase2Objective objective) {
+  return objective == Phase2Objective::kEndToEnd &&
+         inc.regime() == model::IncrementalEvaluator::Regime::kExact;
+}
 
 double ValueOf(const model::IncrementalValues& v, Phase2Objective objective) {
   return objective == Phase2Objective::kEndToEnd ? v.aggregate_mbps
@@ -808,6 +822,7 @@ void GreedyInsertInc(const SearchContext& ctx, const model::Network& net,
   model::IncrementalEvaluator inc(
       net, assign, options.eval, model::IncrementalEvaluator::kDefaultLogFloorMbps,
       /*track_log_utility=*/options.objective == Phase2Objective::kProportionalFair);
+  const bool screen = ScreensPeeks(inc, options.objective);
   std::uint64_t inserts = 0;
   for (std::size_t user : users) {
     if (util::DeadlineExpired(options.deadline)) break;
@@ -816,6 +831,10 @@ void GreedyInsertInc(const SearchContext& ctx, const model::Network& net,
     double best_value = 0.0;
     for (std::size_t j = 0; j < ctx.num_extenders; ++j) {
       if (!ctx.Usable(user, j) || !ctx.HasRoom(j, inc.Load(j))) continue;
+      if (screen && best_ext >= 0 &&
+          inc.MoveDemandBound(user, static_cast<int>(j)) <= best_value) {
+        continue;
+      }
       const double candidate =
           ValueOf(inc.PeekMove(user, static_cast<int>(j)), options.objective);
       if (best_ext < 0 || candidate > best_value) {
@@ -841,6 +860,8 @@ LocalSearchStats RelocateInc(const SearchContext& ctx,
   model::IncrementalEvaluator inc(
       net, assign, options.eval, model::IncrementalEvaluator::kDefaultLogFloorMbps,
       /*track_log_utility=*/options.objective == Phase2Objective::kProportionalFair);
+
+  const bool screen = ScreensPeeks(inc, options.objective);
 
   LocalSearchStats stats;
   stats.initial_value = IncValue(inc, options.objective);
@@ -869,11 +890,17 @@ LocalSearchStats RelocateInc(const SearchContext& ctx,
           rel.Prune();
           continue;
         }
+        const double threshold = best_value + options.improvement_tolerance;
+        if (screen &&
+            inc.MoveDemandBound(user, static_cast<int>(j)) <= threshold) {
+          rel.Prune();
+          continue;
+        }
         rel.Evaluate();
         const double candidate =
             ValueOf(inc.PeekMove(user, static_cast<int>(j)),
                     options.objective);
-        if (candidate > best_value + options.improvement_tolerance) {
+        if (candidate > threshold) {
           best_value = candidate;
           best_ext = static_cast<int>(j);
         }
@@ -909,10 +936,15 @@ LocalSearchStats RelocateInc(const SearchContext& ctx,
             swp.Prune();
             continue;
           }
+          const double threshold = value + options.improvement_tolerance;
+          if (screen && inc.SwapDemandBound(u1, u2) <= threshold) {
+            swp.Prune();
+            continue;
+          }
           swp.Evaluate();
           const double candidate =
               ValueOf(inc.PeekSwap(u1, u2), options.objective);
-          if (candidate > value + options.improvement_tolerance) {
+          if (candidate > threshold) {
             inc.ApplyMove(u1, static_cast<int>(x2));
             inc.ApplyMove(u2, static_cast<int>(x1));
             assign.Assign(u1, x2);

@@ -123,9 +123,17 @@ IncrementalEvaluator::IncrementalEvaluator(const Network& net,
     wifi_domain_ = *evaluator_.ResolveWifiDomains(net, scratch_);
     int max_domain = -1;
     for (int d : wifi_domain_) max_domain = std::max(max_domain, d);
-    wifi_active_.assign(static_cast<std::size_t>(max_domain + 1), 0);
+    const std::size_t num_wifi = static_cast<std::size_t>(max_domain + 1);
+    wifi_first_.assign(num_wifi, 0);
+    for (std::size_t j = num_ext; j-- > 0;) {
+      wifi_first_[static_cast<std::size_t>(wifi_domain_[j])] =
+          static_cast<int>(j);
+    }
+    wifi_active_.assign(num_wifi, 0);
+    peek_active_.assign(num_wifi, 0);
     peek_demand_.assign(num_ext, 0.0);
-    values_.aggregate_mbps = ExactPass(wifi_demand_.data(), time_share_.data());
+    demand_prefix_.assign(num_ext + 1, 0.0);
+    CommitExact();
     return;
   }
 
@@ -275,19 +283,20 @@ double IncrementalEvaluator::CellSum(std::size_t cell, std::size_t drop,
   return sum;
 }
 
-double IncrementalEvaluator::ExactPass(double* demand, double* time_share) {
+double IncrementalEvaluator::ExactPass(int* active, double* demand,
+                                       double* time_share) {
   // Evaluator::Evaluate's saturated arithmetic, expression for expression
   // and in its order, so every value matches it bit for bit.
   const std::size_t num_ext = load_.size();
-  std::fill(wifi_active_.begin(), wifi_active_.end(), 0);
+  std::fill(active, active + wifi_active_.size(), 0);
   for (std::size_t j = 0; j < num_ext; ++j) {
-    if (load_[j] > 0) ++wifi_active_[static_cast<std::size_t>(wifi_domain_[j])];
+    if (load_[j] > 0) ++active[static_cast<std::size_t>(wifi_domain_[j])];
   }
   for (std::size_t j = 0; j < num_ext; ++j) {
     demand[j] = 0.0;
     if (load_[j] == 0 || plc_rate_[j] <= 0.0) continue;
     const double peers = static_cast<double>(
-        wifi_active_[static_cast<std::size_t>(wifi_domain_[j])]);
+        active[static_cast<std::size_t>(wifi_domain_[j])]);
     demand[j] = static_cast<double>(load_[j]) / inv_sum_[j] / peers;
   }
   for (std::size_t d = 0; d + 1 < domain_start_.size(); ++d) {
@@ -318,12 +327,103 @@ IncrementalValues IncrementalEvaluator::PeekExact(const std::size_t* cells,
     inv_sum_[cells[k]] = peek_sum[k];
   }
   IncrementalValues peeked;
-  peeked.aggregate_mbps = ExactPass(peek_demand_.data(), peek_ts_.data());
+  peeked.aggregate_mbps =
+      ExactPass(peek_active_.data(), peek_demand_.data(), peek_ts_.data());
   for (std::size_t k = 0; k < count; ++k) {
     load_[cells[k]] = saved_load[k];
     inv_sum_[cells[k]] = saved_sum[k];
   }
   return peeked;
+}
+
+void IncrementalEvaluator::CommitExact() {
+  values_.aggregate_mbps =
+      ExactPass(wifi_active_.data(), wifi_demand_.data(), time_share_.data());
+  for (std::size_t j = 0; j < wifi_demand_.size(); ++j) {
+    demand_prefix_[j + 1] = demand_prefix_[j] + wifi_demand_[j];
+  }
+}
+
+double IncrementalEvaluator::DemandBound(const std::size_t* cells,
+                                         const int* peek_load,
+                                         const double* peek_sum,
+                                         std::size_t count) const {
+  // The contention domains whose active count the move changes, and by
+  // how much; a cell emptied and one filled in the same domain cancel.
+  int changed[2] = {-1, -1};
+  int step[2] = {0, 0};
+  std::size_t start = cells[0];
+  for (std::size_t k = 0; k < count; ++k) {
+    start = std::min(start, cells[k]);
+    const int delta =
+        (peek_load[k] > 0 ? 1 : 0) - (load_[cells[k]] > 0 ? 1 : 0);
+    if (delta == 0) continue;
+    const int d = wifi_domain_[cells[k]];
+    const std::size_t c = changed[0] < 0 || changed[0] == d ? 0 : 1;
+    changed[c] = d;
+    step[c] += delta;
+  }
+  for (std::size_t c = 0; c < 2; ++c) {
+    if (step[c] == 0) continue;
+    start = std::min(start, static_cast<std::size_t>(
+                                wifi_first_[static_cast<std::size_t>(
+                                    changed[c])]));
+  }
+
+  // Before `start` every demand is the committed one.
+  const std::size_t num_ext = load_.size();
+  double bound = demand_prefix_[start];
+  for (std::size_t j = start; j < num_ext; ++j) {
+    int load = load_[j];
+    double sum = inv_sum_[j];
+    bool touched = false;
+    for (std::size_t k = 0; k < count; ++k) {
+      if (cells[k] != j) continue;
+      load = peek_load[k];
+      sum = peek_sum[k];
+      touched = true;
+    }
+    const int d = wifi_domain_[j];
+    const int delta = d == changed[0] ? step[0] : d == changed[1] ? step[1] : 0;
+    if (!touched && delta == 0) {
+      bound += wifi_demand_[j];
+      continue;
+    }
+    if (load == 0 || plc_rate_[j] <= 0.0) continue;
+    const double peers = static_cast<double>(
+        wifi_active_[static_cast<std::size_t>(d)] + delta);
+    bound += static_cast<double>(load) / sum / peers;
+  }
+  return bound;
+}
+
+void IncrementalEvaluator::CheckExact() const {
+  if (regime_ != Regime::kExact) {
+    throw std::logic_error("demand bound outside the kExact regime");
+  }
+}
+
+std::size_t IncrementalEvaluator::ExactMoveCells(std::size_t user, int to,
+                                                 std::size_t* cells,
+                                                 int* peek_load,
+                                                 double* peek_sum) const {
+  const int from = ext_of_[user];
+  std::size_t count = 0;
+  if (from != Assignment::kUnassigned) {
+    const std::size_t f = static_cast<std::size_t>(from);
+    cells[count] = f;
+    peek_load[count] = load_[f] - 1;
+    peek_sum[count] = CellSum(f, user, kNoUser);
+    ++count;
+  }
+  if (to != Assignment::kUnassigned) {
+    const std::size_t t = static_cast<std::size_t>(to);
+    cells[count] = t;
+    peek_load[count] = load_[t] + 1;
+    peek_sum[count] = CellSum(t, kNoUser, user);
+    ++count;
+  }
+  return count;
 }
 
 void IncrementalEvaluator::RecomputeFallback() {
@@ -411,8 +511,7 @@ void IncrementalEvaluator::ApplyMove(std::size_t user, int to) {
       inv_sum_[t] = CellSum(t, kNoUser, kNoUser);
     }
     ext_of_[user] = to;
-    values_.aggregate_mbps =
-        ExactPass(wifi_demand_.data(), time_share_.data());
+    CommitExact();
     return;
   }
 
@@ -474,25 +573,27 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     return peeked;
   }
 
-  const bool exact = regime_ == Regime::kExact;
-  const double* inv = &inv_rate_[user * load_.size()];
   std::size_t cells[2];
   int peek_load[2];
-  double peek_value[2];  // kExact: harmonic sum; kDelta: WiFi demand
+  if (regime_ == Regime::kExact) {
+    double peek_sum[2];
+    const std::size_t count =
+        ExactMoveCells(user, to, cells, peek_load, peek_sum);
+    return PeekExact(cells, peek_load, peek_sum, count);
+  }
+
+  const double* inv = &inv_rate_[user * load_.size()];
+  double peek_demand[2];
   std::size_t count = 0;
   if (from != Assignment::kUnassigned) {
     const std::size_t f = static_cast<std::size_t>(from);
     const int n = load_[f] - 1;
     cells[count] = f;
     peek_load[count] = n;
-    if (exact) {
-      peek_value[count] = CellSum(f, user, kNoUser);
-    } else {
-      double s = inv_sum_[f] - inv[f];
-      if (n == 0) s = 0.0;  // kill accumulated error, as ApplyMove does
-      peek_value[count] =
-          (n > 0 && plc_rate_[f] > 0.0) ? static_cast<double>(n) / s : 0.0;
-    }
+    double s = inv_sum_[f] - inv[f];
+    if (n == 0) s = 0.0;  // kill accumulated error, as ApplyMove does
+    peek_demand[count] =
+        (n > 0 && plc_rate_[f] > 0.0) ? static_cast<double>(n) / s : 0.0;
     ++count;
   }
   if (to != Assignment::kUnassigned) {
@@ -500,17 +601,12 @@ IncrementalValues IncrementalEvaluator::PeekMove(std::size_t user, int to) {
     const int n = load_[t] + 1;
     cells[count] = t;
     peek_load[count] = n;
-    if (exact) {
-      peek_value[count] = CellSum(t, kNoUser, user);
-    } else {
-      peek_value[count] =
-          plc_rate_[t] > 0.0 ? static_cast<double>(n) / (inv_sum_[t] + inv[t])
-                             : 0.0;
-    }
+    peek_demand[count] =
+        plc_rate_[t] > 0.0 ? static_cast<double>(n) / (inv_sum_[t] + inv[t])
+                           : 0.0;
     ++count;
   }
-  return exact ? PeekExact(cells, peek_load, peek_value, count)
-               : PeekCells(cells, peek_load, peek_value, count);
+  return PeekCells(cells, peek_load, peek_demand, count);
 }
 
 IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
@@ -565,6 +661,43 @@ IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
                        ? static_cast<double>(load_[x2]) / s2
                        : 0.0;
   return PeekCells(cells, peek_load, peek_demand, 2);
+}
+
+double IncrementalEvaluator::MoveDemandBound(std::size_t user, int to) const {
+  CheckExact();
+  CheckUser(user);
+  if (to == ext_of_[user]) return demand_prefix_.back();
+  CheckTarget(user, to);
+  std::size_t cells[2];
+  int peek_load[2];
+  double peek_sum[2];
+  const std::size_t count =
+      ExactMoveCells(user, to, cells, peek_load, peek_sum);
+  return DemandBound(cells, peek_load, peek_sum, count);
+}
+
+double IncrementalEvaluator::SwapDemandBound(std::size_t u1,
+                                             std::size_t u2) const {
+  CheckExact();
+  CheckUser(u1);
+  CheckUser(u2);
+  const int e1 = ext_of_[u1];
+  const int e2 = ext_of_[u2];
+  if (e1 == Assignment::kUnassigned || e2 == Assignment::kUnassigned) {
+    throw std::invalid_argument("swap requires two assigned users");
+  }
+  if (e1 == e2) return demand_prefix_.back();
+  const std::size_t x1 = static_cast<std::size_t>(e1);
+  const std::size_t x2 = static_cast<std::size_t>(e2);
+  const std::size_t num_ext = load_.size();
+  if (inv_rate_[u1 * num_ext + x2] <= 0.0 ||
+      inv_rate_[u2 * num_ext + x1] <= 0.0) {
+    throw std::invalid_argument("swap to unreachable extender");
+  }
+  const std::size_t cells[2] = {x1, x2};
+  const int peek_load[2] = {load_[x1], load_[x2]};
+  const double peek_sum[2] = {CellSum(x1, u1, u2), CellSum(x2, u2, u1)};
+  return DemandBound(cells, peek_load, peek_sum, 2);
 }
 
 IncrementalValues IncrementalEvaluator::MoveDelta(std::size_t user, int to) {

@@ -31,7 +31,10 @@
 //     the aggregate summed by extender index. Every value it reports —
 //     aggregate_mbps(), peeks and UserThroughput() — is bit-identical to
 //     Evaluator::Evaluate of the same assignment. The contention domains
-//     come from Evaluator::ResolveWifiDomains.
+//     come from Evaluator::ResolveWifiDomains. MoveDemandBound and
+//     SwapDemandBound bound a peek's aggregate from above without the
+//     O(E) airtime pass (see below), so a search can skip a move that
+//     cannot pass its acceptance test.
 //   * kReevaluate — some user carries a finite demand (demand-capped
 //     allocations couple users within a cell), or co-channel contention
 //     with log-utility tracking. Each move runs a full, allocation-free
@@ -122,6 +125,24 @@ class IncrementalEvaluator {
   // hypothetical move (PeekMove minus current values).
   IncrementalValues MoveDelta(std::size_t user, int to);
 
+  // kExact only (std::logic_error in any other regime): an upper bound on
+  // PeekMove(user, to).aggregate_mbps, or on PeekSwap(u1, u2)'s. It is the
+  // sum, in extender order, of the WiFi demand d_j = n_j / sum_j / peers_j
+  // of every active cell with a live backhaul under the hypothetical
+  // assignment, which is bit for bit the in-order sum of Evaluate's
+  // wifi_throughput_mbps over those cells. The aggregate sums
+  // min(d_j, t_j * c_j) over the same cells in the same order; each term is
+  // at most its d_j, and floating-point addition is monotone in each
+  // argument, so the bound holds exactly, with no margin: a move whose
+  // bound is <= an acceptance threshold cannot have a peek > it. Costs the
+  // touched cells' harmonic sums plus additions from the first cell whose
+  // demand the move changes (the committed demands before it are a prefix
+  // sum); a move that turns a cell active or idle changes the peer count,
+  // and with it the demand, of every cell in that contention domain.
+  // Throws like PeekMove / PeekSwap on bad arguments.
+  double MoveDemandBound(std::size_t user, int to) const;
+  double SwapDemandBound(std::size_t u1, std::size_t u2) const;
+
  private:
   // Throw std::invalid_argument unless `user` is known / `to` is a legal
   // target for it (kUnassigned or a reachable extender).
@@ -146,12 +167,25 @@ class IncrementalEvaluator {
   // put in (kNoUser for neither), summed in ascending user order.
   double CellSum(std::size_t cell, std::size_t drop, std::size_t add) const;
   // kExact: Evaluate's per-extender pass over load_ and inv_sum_, writing
-  // each cell's demand and airtime share; returns the aggregate.
-  double ExactPass(double* demand, double* time_share);
+  // the active cells per contention domain, each cell's demand and airtime
+  // share; returns the aggregate.
+  double ExactPass(int* active, double* demand, double* time_share);
+  // kExact: ExactPass over the committed state, then the demand prefix sums
+  // the bounds start from.
+  void CommitExact();
   // kExact: the aggregate with up to two cells temporarily holding the
   // given (load, harmonic sum); committed state is untouched.
   IncrementalValues PeekExact(const std::size_t* cells, const int* peek_load,
                               const double* peek_sum, std::size_t count);
+  // kExact: the demand bound with up to two cells holding the given (load,
+  // harmonic sum), read against the committed counts and demands.
+  double DemandBound(const std::size_t* cells, const int* peek_load,
+                     const double* peek_sum, std::size_t count) const;
+  // kExact: the cells moving `user` to `to` touches, with their
+  // hypothetical loads and harmonic sums; returns how many (<= 2).
+  std::size_t ExactMoveCells(std::size_t user, int to, std::size_t* cells,
+                             int* peek_load, double* peek_sum) const;
+  void CheckExact() const;
 
   static constexpr std::size_t kNoUser = static_cast<std::size_t>(-1);
 
@@ -187,8 +221,15 @@ class IncrementalEvaluator {
   // Users of each extender, ascending.
   std::vector<std::vector<std::size_t>> members_;
   std::vector<int> wifi_domain_;     // contention domain per extender
-  std::vector<int> wifi_active_;     // active cells per contention domain
+  std::vector<int> wifi_first_;      // lowest extender of each domain
+  // Committed active cells per contention domain. Peeks count into
+  // peek_active_, so the bounds can read the committed counts after one.
+  std::vector<int> wifi_active_;
+  std::vector<int> peek_active_;
   std::vector<double> peek_demand_;  // demand scratch for peeks
+  // demand_prefix_[j]: in-order sum of the committed wifi_demand_ of the
+  // cells before j (0 for idle and dead cells, which adds exactly).
+  std::vector<double> demand_prefix_;
 
   // --- kReevaluate state (the evaluator also resolves kExact's domains) --
   Evaluator evaluator_;

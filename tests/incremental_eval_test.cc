@@ -392,6 +392,35 @@ EvalOptions CoChannelOptions(const ScenarioConfig& cfg, bool channel_plan,
   return opt;
 }
 
+// One network of the co-channel corpus: all three sharing modes, 1-3 PLC
+// domains, dead backhauls, extender positions for channel plans, and either
+// a channel plan or explicit contention domains (alternating by scenario),
+// with a random partial assignment.
+struct CoChannelCase {
+  Network net;
+  EvalOptions opt;
+  Assignment assign;
+};
+
+CoChannelCase CoChannelScenario(int scenario, util::Rng& rng) {
+  const PlcSharing modes[] = {PlcSharing::kMaxMinActive,
+                              PlcSharing::kEqualActive, PlcSharing::kEqualAll};
+  ScenarioConfig cfg;
+  cfg.num_users = static_cast<std::size_t>(rng.UniformInt(2, 40));
+  cfg.num_extenders = static_cast<std::size_t>(rng.UniformInt(2, 8));
+  cfg.sharing = modes[scenario % 3];
+  cfg.plc_domains = 1 + (scenario / 3) % 3;
+  CoChannelCase c;
+  c.net = RandomNetwork(cfg, rng);
+  for (std::size_t j = 0; j < cfg.num_extenders; ++j) {
+    c.net.SetExtenderPosition(
+        j, {rng.Uniform(0.0, 120.0), rng.Uniform(0.0, 120.0)});
+  }
+  c.opt = CoChannelOptions(cfg, scenario % 2 == 0, rng);
+  c.assign = RandomAssignment(c.net, rng);
+  return c;
+}
+
 // Every value the engine reports equals a fresh Evaluate's, to the bit.
 void ExpectBitIdentical(IncrementalEvaluator& inc, const Network& net,
                         const Assignment& assign, const Evaluator& evaluator,
@@ -405,24 +434,16 @@ void ExpectBitIdentical(IncrementalEvaluator& inc, const Network& net,
 }
 
 TEST(IncrementalEvalCoChannel, BitIdenticalToEvaluateAfterEveryPeekAndApply) {
-  const PlcSharing modes[] = {PlcSharing::kMaxMinActive,
-                              PlcSharing::kEqualActive, PlcSharing::kEqualAll};
   util::Rng rng(0xc0c4);
   int contended = 0, dead = 0, unassigns = 0, swaps = 0;
   for (int scenario = 0; scenario < 150; ++scenario) {
-    ScenarioConfig cfg;
-    cfg.num_users = static_cast<std::size_t>(rng.UniformInt(2, 40));
-    cfg.num_extenders = static_cast<std::size_t>(rng.UniformInt(2, 8));
-    cfg.sharing = modes[scenario % 3];
-    cfg.plc_domains = 1 + (scenario / 3) % 3;
-    Network net = RandomNetwork(cfg, rng);
-    for (std::size_t j = 0; j < cfg.num_extenders; ++j) {
-      net.SetExtenderPosition(
-          j, {rng.Uniform(0.0, 120.0), rng.Uniform(0.0, 120.0)});
+    CoChannelCase c = CoChannelScenario(scenario, rng);
+    const Network& net = c.net;
+    const EvalOptions& opt = c.opt;
+    Assignment& assign = c.assign;
+    for (std::size_t j = 0; j < net.NumExtenders(); ++j) {
       if (net.PlcRate(j) <= 0.0) ++dead;
     }
-    const EvalOptions opt = CoChannelOptions(cfg, scenario % 2 == 0, rng);
-    Assignment assign = RandomAssignment(net, rng);
 
     const Evaluator evaluator(opt);
     EvalScratch scratch;
@@ -488,6 +509,143 @@ TEST(IncrementalEvalCoChannel, BitIdenticalToEvaluateAfterEveryPeekAndApply) {
   EXPECT_GT(dead, 0);
   EXPECT_GT(unassigns, 50);
   EXPECT_GT(swaps, 50);
+}
+
+// The demand bound's definition: the in-order sum of Evaluate's WiFi
+// throughputs over the active cells with a live backhaul.
+double DemandSum(const EvalResult& res, const Network& net) {
+  double sum = 0.0;
+  for (std::size_t j = 0; j < res.extenders.size(); ++j) {
+    if (res.extenders[j].num_users == 0 || net.PlcRate(j) <= 0.0) continue;
+    sum += res.extenders[j].wifi_throughput_mbps;
+  }
+  return sum;
+}
+
+TEST(IncrementalEvalCoChannel, DemandBoundDominatesEveryPeek) {
+  util::Rng rng(0xb0d5);
+  int relocations = 0, swaps = 0, unassigns = 0, dead = 0;
+  int activity = 0;  // relocations that empty a cell or fill an empty one
+  for (int scenario = 0; scenario < 90; ++scenario) {
+    CoChannelCase c = CoChannelScenario(scenario, rng);
+    const Network& net = c.net;
+    Assignment& assign = c.assign;
+    for (std::size_t j = 0; j < net.NumExtenders(); ++j) {
+      if (net.PlcRate(j) <= 0.0) ++dead;
+      // Caps bind the searches, never the evaluation.
+      if (rng.Bernoulli(0.3)) c.net.SetMaxUsers(j, rng.UniformInt(1, 4));
+    }
+    const Evaluator evaluator(c.opt);
+    EvalScratch scratch;
+    IncrementalEvaluator inc(net, assign, c.opt,
+                             IncrementalEvaluator::kDefaultLogFloorMbps,
+                             /*track_log_utility=*/false);
+    ASSERT_EQ(inc.regime(), IncrementalEvaluator::Regime::kExact);
+    const std::string where = "scenario " + std::to_string(scenario);
+
+    // Every usable relocation (unassigns included) and swap. Each bound is
+    // read after the previous candidate's peek, which must not leak into
+    // it.
+    const auto check_every_move = [&](const std::string& step) {
+      const std::vector<int> load = assign.LoadVector(net.NumExtenders());
+      for (std::size_t u = 0; u < net.NumUsers(); ++u) {
+        const int from = assign.ExtenderOf(u);
+        for (int to = Assignment::kUnassigned;
+             to < static_cast<int>(net.NumExtenders()); ++to) {
+          if (to == from) continue;
+          if (to >= 0 && net.WifiRate(u, static_cast<std::size_t>(to)) <= 0.0) {
+            continue;
+          }
+          Assignment moved = assign;
+          if (to == Assignment::kUnassigned) {
+            moved.Unassign(u);
+            ++unassigns;
+          } else {
+            moved.Assign(u, static_cast<std::size_t>(to));
+          }
+          if ((from >= 0 && load[static_cast<std::size_t>(from)] == 1) ||
+              (to >= 0 && load[static_cast<std::size_t>(to)] == 0)) {
+            ++activity;
+          }
+          const double bound = inc.MoveDemandBound(u, to);
+          EXPECT_EQ(bound,
+                    DemandSum(evaluator.Evaluate(net, moved, scratch), net))
+              << step << " move " << u << " -> " << to;
+          EXPECT_LE(inc.PeekMove(u, to).aggregate_mbps, bound)
+              << step << " move " << u << " -> " << to;
+          ++relocations;
+        }
+      }
+      for (std::size_t u1 = 0; u1 < net.NumUsers(); ++u1) {
+        for (std::size_t u2 = u1 + 1; u2 < net.NumUsers(); ++u2) {
+          const int e1 = assign.ExtenderOf(u1);
+          const int e2 = assign.ExtenderOf(u2);
+          if (e1 < 0 || e2 < 0 || e1 == e2 ||
+              net.WifiRate(u1, static_cast<std::size_t>(e2)) <= 0.0 ||
+              net.WifiRate(u2, static_cast<std::size_t>(e1)) <= 0.0) {
+            continue;
+          }
+          Assignment swapped = assign;
+          swapped.Assign(u1, static_cast<std::size_t>(e2));
+          swapped.Assign(u2, static_cast<std::size_t>(e1));
+          const double bound = inc.SwapDemandBound(u1, u2);
+          EXPECT_EQ(bound,
+                    DemandSum(evaluator.Evaluate(net, swapped, scratch), net))
+              << step << " swap " << u1 << " <-> " << u2;
+          EXPECT_LE(inc.PeekSwap(u1, u2).aggregate_mbps, bound)
+              << step << " swap " << u1 << " <-> " << u2;
+          ++swaps;
+        }
+      }
+    };
+
+    check_every_move(where + " initial");
+    const int moves = rng.UniformInt(3, 10);
+    for (int mv = 0; mv < moves; ++mv) {
+      std::size_t user = 0;
+      int to = Assignment::kUnassigned;
+      if (!RandomMove(net, assign, rng, &user, &to)) break;
+      inc.ApplyMove(user, to);
+      if (to == Assignment::kUnassigned) {
+        assign.Unassign(user);
+      } else {
+        assign.Assign(user, static_cast<std::size_t>(to));
+      }
+      check_every_move(where + " step " + std::to_string(mv));
+    }
+  }
+  EXPECT_GT(dead, 0);
+  EXPECT_GT(unassigns, 1000);
+  EXPECT_GT(swaps, 10000);
+  // Both ways to a bound: a peer count that changes, and the prefix of
+  // committed demands with only the touched cells recomputed.
+  EXPECT_GT(activity, 1000);
+  EXPECT_GT(relocations - activity, 10000);
+}
+
+TEST(IncrementalEvalCoChannel, DemandBoundNeedsTheExactRegime) {
+  util::Rng rng(17);
+  const ScenarioConfig cfg{10, 4, PlcSharing::kMaxMinActive, 1, false, false};
+  const Network net = RandomNetwork(cfg, rng);
+  const Assignment assign = RandomAssignment(net, rng);
+  EvalOptions contention;
+  contention.wifi_contention_domain = {0, 0, 1, 1};
+  for (const bool track_log : {false, true}) {
+    const IncrementalEvaluator inc(net, assign, track_log ? contention
+                                                          : EvalOptions{},
+                                   IncrementalEvaluator::kDefaultLogFloorMbps,
+                                   track_log);
+    ASSERT_NE(inc.regime(), IncrementalEvaluator::Regime::kExact);
+    EXPECT_THROW(inc.MoveDemandBound(0, Assignment::kUnassigned),
+                 std::logic_error);
+    EXPECT_THROW(inc.SwapDemandBound(0, 1), std::logic_error);
+  }
+  const IncrementalEvaluator exact(net, assign, contention,
+                                   IncrementalEvaluator::kDefaultLogFloorMbps,
+                                   /*track_log_utility=*/false);
+  EXPECT_THROW(exact.MoveDemandBound(net.NumUsers(), 0), std::invalid_argument);
+  EXPECT_THROW(exact.SwapDemandBound(0, net.NumUsers()),
+               std::invalid_argument);
 }
 
 TEST(IncrementalEvalCoChannel, RejectsMalformedOptionsLikeEvaluate) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "assign/brute_force.h"
+#include "model/incremental.h"
+#include "obs/obs.h"
 #include "testbed/lab.h"
 #include "util/arena.h"
 #include "util/rng.h"
@@ -255,6 +259,260 @@ TEST(MultiStartParallelTest, ByteIdenticalOnEndToEndObjective) {
       }
     }
   }
+}
+
+// --- The co-channel screen ---------------------------------------------
+
+// Candidates the unscreened search generated and evaluated (peeked).
+struct SearchCounts {
+  std::uint64_t relocate_generated = 0;
+  std::uint64_t relocate_evaluated = 0;
+  std::uint64_t swap_generated = 0;
+  std::uint64_t swap_evaluated = 0;
+};
+
+// The evaluator-backed end-to-end search without the demand-bound screen,
+// rebuilt on the public peeks: greedy insertion, then the relocate/swap
+// passes, peeking every usable candidate. The library's screened searches
+// must reproduce its assignments and candidate counts exactly.
+class UnscreenedSearch {
+ public:
+  UnscreenedSearch(const model::Network& net, model::Assignment& assign,
+                   const LocalSearchOptions& options)
+      : net_(net),
+        assign_(assign),
+        options_(options),
+        inc_(net, assign, options.eval,
+             model::IncrementalEvaluator::kDefaultLogFloorMbps,
+             /*track_log_utility=*/false) {}
+
+  void Insert(const std::vector<std::size_t>& users) {
+    for (std::size_t user : users) {
+      if (assign_.IsAssigned(user)) continue;
+      int best_ext = -1;
+      double best_value = 0.0;
+      for (std::size_t j = 0; j < net_.NumExtenders(); ++j) {
+        if (!Usable(user, j) || !HasRoom(j)) continue;
+        const double candidate =
+            inc_.PeekMove(user, static_cast<int>(j)).aggregate_mbps;
+        if (best_ext < 0 || candidate > best_value) {
+          best_value = candidate;
+          best_ext = static_cast<int>(j);
+        }
+      }
+      if (best_ext < 0) continue;
+      Move(user, static_cast<std::size_t>(best_ext));
+    }
+  }
+
+  SearchCounts Relocate(const std::vector<std::size_t>& movable) {
+    SearchCounts counts;
+    const double tol = options_.improvement_tolerance;
+    double value = inc_.aggregate_mbps();
+    for (std::size_t pass = 0; pass < options_.max_passes; ++pass) {
+      double pass_gain = 0.0;
+      for (std::size_t user : movable) {
+        const int from = assign_.ExtenderOf(user);
+        if (from == model::Assignment::kUnassigned) continue;
+        int best_ext = -1;
+        double best_value = value;
+        for (std::size_t j = 0; j < net_.NumExtenders(); ++j) {
+          if (static_cast<int>(j) == from) continue;
+          ++counts.relocate_generated;
+          if (!Usable(user, j) || !HasRoom(j)) continue;
+          ++counts.relocate_evaluated;
+          const double candidate =
+              inc_.PeekMove(user, static_cast<int>(j)).aggregate_mbps;
+          if (candidate > best_value + tol) {
+            best_value = candidate;
+            best_ext = static_cast<int>(j);
+          }
+        }
+        if (best_ext >= 0) {
+          Move(user, static_cast<std::size_t>(best_ext));
+          pass_gain += best_value - value;
+          value = best_value;
+        }
+      }
+      for (std::size_t a = 0; options_.swap_moves && a < movable.size(); ++a) {
+        const std::size_t u1 = movable[a];
+        // Read once per u1, as the library does: a swap later in the scan
+        // moves u1 without refreshing it.
+        const int e1 = assign_.ExtenderOf(u1);
+        if (e1 == model::Assignment::kUnassigned) continue;
+        for (std::size_t b = a + 1; b < movable.size(); ++b) {
+          const std::size_t u2 = movable[b];
+          const int e2 = assign_.ExtenderOf(u2);
+          if (e2 == model::Assignment::kUnassigned || e1 == e2) continue;
+          const std::size_t x1 =
+              static_cast<std::size_t>(assign_.ExtenderOf(u1));
+          const std::size_t x2 = static_cast<std::size_t>(e2);
+          if (x1 == x2) continue;
+          ++counts.swap_generated;
+          if (!Usable(u1, x2) || !Usable(u2, x1)) continue;
+          ++counts.swap_evaluated;
+          const double candidate = inc_.PeekSwap(u1, u2).aggregate_mbps;
+          if (candidate > value + tol) {
+            Move(u1, x2);
+            Move(u2, x1);
+            pass_gain += candidate - value;
+            value = candidate;
+          }
+        }
+      }
+      if (pass_gain <= tol) break;
+    }
+    return counts;
+  }
+
+ private:
+  bool Usable(std::size_t user, std::size_t ext) const {
+    return net_.WifiRate(user, ext) > 0.0 && net_.PlcRate(ext) > 0.0;
+  }
+  bool HasRoom(std::size_t ext) const {
+    const int cap = net_.MaxUsers(ext);
+    return cap == 0 || inc_.Load(ext) < cap;
+  }
+  void Move(std::size_t user, std::size_t ext) {
+    inc_.ApplyMove(user, static_cast<int>(ext));
+    assign_.Assign(user, ext);
+  }
+
+  const model::Network& net_;
+  model::Assignment& assign_;
+  const LocalSearchOptions& options_;
+  model::IncrementalEvaluator inc_;
+};
+
+// A random co-channel instance: 1-3 PLC domains, some dead backhauls and
+// B_j caps, a channel plan or explicit contention domains. Half of them
+// have backhauls far faster than any cell's air, so every cell is
+// WiFi-limited and a move's aggregate equals its demand bound.
+model::Network CoChannelNetwork(util::Rng& rng, std::size_t users,
+                                std::size_t exts, bool fast_backhaul) {
+  model::Network net(users, exts);
+  const int domains = rng.UniformInt(1, 3);
+  for (std::size_t j = 0; j < exts; ++j) {
+    const double plc = fast_backhaul ? rng.Uniform(2000.0, 4000.0)
+                                     : rng.Uniform(20.0, 400.0);
+    net.SetPlcRate(j, rng.Bernoulli(0.1) ? 0.0 : plc);
+    net.SetPlcDomain(j, rng.UniformInt(0, domains - 1));
+    if (rng.Bernoulli(0.25)) net.SetMaxUsers(j, rng.UniformInt(1, 6));
+    net.SetExtenderPosition(
+        j, {rng.Uniform(0.0, 120.0), rng.Uniform(0.0, 120.0)});
+  }
+  for (std::size_t i = 0; i < users; ++i) {
+    for (std::size_t j = 0; j < exts; ++j) {
+      if (rng.Bernoulli(0.7)) net.SetWifiRate(i, j, rng.Uniform(5.0, 300.0));
+    }
+  }
+  return net;
+}
+
+model::EvalOptions CoChannelEval(util::Rng& rng, std::size_t exts, int trial) {
+  const model::PlcSharing modes[] = {model::PlcSharing::kMaxMinActive,
+                                     model::PlcSharing::kEqualActive,
+                                     model::PlcSharing::kEqualAll};
+  model::EvalOptions eval;
+  eval.plc_sharing = modes[trial % 3];
+  if (trial % 4 < 2) {
+    const int channels = rng.UniformInt(1, 3);
+    eval.wifi_channel.resize(exts);
+    for (int& c : eval.wifi_channel) c = rng.UniformInt(0, channels - 1);
+    const double ranges[] = {0.0, 25.0, 60.0, 200.0};
+    eval.carrier_sense_range_m = ranges[rng.UniformInt(0, 3)];
+  } else {
+    eval.wifi_contention_domain.resize(exts);
+    for (int& d : eval.wifi_contention_domain) d = rng.UniformInt(0, 2);
+  }
+  return eval;
+}
+
+[[maybe_unused]] std::uint64_t CounterValue(const obs::MetricsSnapshot& snap,
+                                            const std::string& name) {
+  for (const obs::CounterSample& c : snap.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+TEST(CoChannelScreenTest, ScreenedSearchEqualsUnscreened) {
+  util::Rng rng(0x5c7ee7);
+  [[maybe_unused]] std::uint64_t evaluated_screened = 0;
+  [[maybe_unused]] std::uint64_t evaluated_unscreened = 0;
+  std::size_t moved = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const std::size_t users = static_cast<std::size_t>(rng.UniformInt(4, 30));
+    const std::size_t exts = static_cast<std::size_t>(rng.UniformInt(2, 8));
+    const model::Network net =
+        CoChannelNetwork(rng, users, exts, /*fast_backhaul=*/trial % 2 == 0);
+    LocalSearchOptions options;
+    options.objective = Phase2Objective::kEndToEnd;
+    options.eval = CoChannelEval(rng, exts, trial);
+    // The paper's tolerance, and none: then a WiFi-limited move whose
+    // aggregate equals its bound is accepted by any gain at all.
+    options.improvement_tolerance = trial % 3 == 0 ? 0.0 : 1e-5;
+    std::vector<std::size_t> everyone(users);
+    for (std::size_t i = 0; i < users; ++i) everyone[i] = i;
+    std::vector<std::size_t> movable;
+    for (std::size_t i = 0; i < users; ++i) {
+      if (trial % 5 != 0 || rng.Bernoulli(0.7)) movable.push_back(i);
+    }
+
+    // Fresh: greedy insertion of everyone into the empty assignment. Or a
+    // random previous assignment that respects reachability and caps.
+    model::Assignment start(users);
+    const bool fresh = trial % 2 == 1;
+    if (!fresh) {
+      std::vector<int> load(exts, 0);
+      for (std::size_t i = 0; i < users; ++i) {
+        const std::size_t j =
+            static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(exts) - 1));
+        const int cap = net.MaxUsers(j);
+        if (rng.Bernoulli(0.1) || net.WifiRate(i, j) <= 0.0 ||
+            (cap > 0 && load[j] >= cap)) {
+          continue;
+        }
+        start.Assign(i, j);
+        ++load[j];
+      }
+    }
+    const std::string where = "trial " + std::to_string(trial);
+
+    model::Assignment want = start;
+    UnscreenedSearch reference(net, want, options);
+    if (fresh) reference.Insert(everyone);
+    const model::Assignment want_inserted = want;
+    const SearchCounts counts = reference.Relocate(movable);
+
+    model::Assignment got = start;
+    obs::MetricsRegistry registry;
+    {
+      const obs::ScopedMetrics scoped(registry);
+      if (fresh) {
+        GreedyInsert(net, got, everyone, options);
+        EXPECT_EQ(got, want_inserted) << where << " insert";
+      }
+      RelocateLocalSearch(net, got, movable, options);
+    }
+    ASSERT_EQ(got, want) << where;
+    if (got != start) ++moved;
+#if WOLT_OBS_ENABLED
+    const obs::MetricsSnapshot snap = registry.Snapshot();
+    EXPECT_EQ(CounterValue(snap, "ls.relocate.generated"),
+              counts.relocate_generated)
+        << where;
+    EXPECT_EQ(CounterValue(snap, "ls.swap.generated"), counts.swap_generated)
+        << where;
+    evaluated_screened += CounterValue(snap, "ls.relocate.evaluated") +
+                          CounterValue(snap, "ls.swap.evaluated");
+    evaluated_unscreened += counts.relocate_evaluated + counts.swap_evaluated;
+#endif
+  }
+  EXPECT_GT(moved, 150u);
+#if WOLT_OBS_ENABLED
+  EXPECT_LT(evaluated_screened, evaluated_unscreened);
+#endif
 }
 
 }  // namespace
