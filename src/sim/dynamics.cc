@@ -103,21 +103,14 @@ std::vector<EpochStats> RunDynamicSimulation(
   return history;
 }
 
-namespace {
-
 // Frozen-snapshot optimum for one epoch. Brute force (relaxed problem:
 // users may stay unassigned, which makes it a true upper bound on anything
 // the controller can commit) when the space fits; otherwise WOLT-S with
 // subset search solved from scratch — no stickiness, so it tracks the
 // per-epoch optimum instead of the previous plan.
-double SolveEpochOracle(const model::Network& snap,
-                        const FrontierParams& params,
-                        const model::Evaluator& evaluator, bool* exact) {
-  *exact = false;
-  if (snap.NumUsers() == 0) {
-    *exact = true;
-    return 0.0;
-  }
+EpochOracle SolveFrontierOracle(const model::Network& snap,
+                                const FrontierParams& params) {
+  if (snap.NumUsers() == 0) return {0.0, true};
   if (snap.NumUsers() <= params.oracle_bf_max_users) {
     const std::uint64_t arms =
         static_cast<std::uint64_t>(snap.NumExtenders()) + 1;  // + unassigned
@@ -135,8 +128,7 @@ double SolveEpochOracle(const model::Network& snap,
       bf.max_combinations = params.oracle_max_combinations;
       bf.allow_unassigned = true;
       bf.eval = params.eval;
-      *exact = true;
-      return assign::SolveBruteForce(snap, bf).best_aggregate_mbps;
+      return {assign::SolveBruteForce(snap, bf).best_aggregate_mbps, true};
     }
   }
   core::WoltOptions wolt;
@@ -145,10 +137,10 @@ double SolveEpochOracle(const model::Network& snap,
   wolt.eval = params.eval;
   core::WoltPolicy oracle(wolt);
   const model::Assignment fresh(snap.NumUsers());
-  return evaluator.AggregateThroughput(snap, oracle.Associate(snap, fresh));
+  return {model::Evaluator(params.eval)
+              .AggregateThroughput(snap, oracle.Associate(snap, fresh)),
+          false};
 }
-
-}  // namespace
 
 FrontierResult RunTraceFrontier(const model::Network& base,
                                 const WorkloadTrace& trace,
@@ -294,8 +286,11 @@ FrontierResult RunTraceFrontier(const model::Network& base,
     es.jain_fairness = util::JainFairnessIndex(eval.user_throughput_mbps);
 
     if (params.compute_oracle) {
-      es.oracle_mbps =
-          SolveEpochOracle(snap, params, evaluator, &es.oracle_exact);
+      const EpochOracle oracle = params.oracle
+                                     ? params.oracle(epoch, snap)
+                                     : SolveFrontierOracle(snap, params);
+      es.oracle_mbps = oracle.mbps;
+      es.oracle_exact = oracle.exact;
       if (obs::MetricsScope* s = obs::CurrentScope()) {
         s->workload.oracle_solves.Add(1);
         if (es.oracle_exact) s->workload.oracle_exact.Add(1);

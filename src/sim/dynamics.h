@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,12 @@ std::vector<EpochStats> RunDynamicSimulation(
 // (base network, trace, policy, params) — byte-identical at any thread
 // count, which is what lets the sweep engine parallelize frontier tasks.
 
+// One epoch's frozen-snapshot optimum (see FrontierParams::compute_oracle).
+struct EpochOracle {
+  double mbps = 0.0;
+  bool exact = false;  // brute force; false = the WOLT-S proxy
+};
+
 struct FrontierParams {
   double epoch_length = 12.0;  // time units between reoptimizations
   int epochs = 3;
@@ -96,6 +103,12 @@ struct FrontierParams {
   core::RetryParams retry;
   core::QuarantineParams quarantine;  // flap-quarantine interaction knob
   model::EvalOptions eval;
+  // Internal hook of the sweep engine, which shares one oracle among the
+  // tasks that score the same snapshot (sweep/engine.h): when set, it
+  // returns epoch `epoch`'s oracle for `snapshot`, which must equal
+  // SolveFrontierOracle(snapshot, *this). Empty = solve in place.
+  std::function<EpochOracle(int epoch, const model::Network& snapshot)>
+      oracle;
 };
 
 struct FrontierEpoch {
@@ -132,6 +145,13 @@ struct FrontierResult {
   // Per-user end-to-end throughput at the final epoch boundary.
   std::vector<double> final_user_throughput_mbps;
 };
+
+// The per-epoch oracle of RunTraceFrontier on a scoring snapshot: a
+// function of the snapshot's users, rates, demands, capacities, caps, PLC
+// domains and extender positions and of `params`' oracle and eval fields,
+// never of an assignment.
+EpochOracle SolveFrontierOracle(const model::Network& snapshot,
+                                const FrontierParams& params);
 
 // `base` must be the extenders-only network the trace was generated
 // against (NumUsers() == 0, NumExtenders() == trace.num_extenders); it

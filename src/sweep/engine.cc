@@ -11,6 +11,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "assign/joint.h"
 #include "core/controller.h"
@@ -67,8 +68,10 @@ void FromRecord(const recover::TaskRecord& rec, const SweepGrid& grid,
 // The per-run memo of shared task inputs (see "Shared inputs" in engine.h).
 
 // Names one shared value of a Run. The grid and options are fixed for the
-// Run, so the key determines the value.
-using SlotKey = std::array<std::uint64_t, 4>;
+// Run, so the key determines the value (a frontier oracle's also needs its
+// snapshot, which its slot checks byte for byte). Unused trailing entries
+// are 0.
+using SlotKey = std::array<std::uint64_t, 6>;
 
 // One value that several tasks derive from the same inputs.
 template <typename T>
@@ -109,12 +112,50 @@ PolicyKind PlanBlindKind(PolicyKind kind) {
   return kind == PolicyKind::kJointWolt ? PolicyKind::kWolt : kind;
 }
 
+// The bytes of every field of a scoring snapshot that the frontier oracle
+// can read (sim::SolveFrontierOracle): the counts; per extender its PLC
+// rate, PLC domain, user cap, WiFi channel and position; per user its rate
+// row and demand. Doubles go in as their bits, so equal bytes mean equal
+// inputs.
+std::string OracleInputBytes(const model::Network& net) {
+  std::string out;
+  const auto put = [&out](const auto& value) {
+    out.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  const std::size_t num_ext = net.NumExtenders();
+  put(net.NumUsers());
+  put(num_ext);
+  for (std::size_t j = 0; j < num_ext; ++j) {
+    const model::Extender& e = net.ExtenderAt(j);
+    put(e.plc_rate_mbps);
+    put(e.plc_domain);
+    put(e.max_users);
+    put(e.wifi_channel);
+    put(e.position.x);
+    put(e.position.y);
+  }
+  for (std::size_t i = 0; i < net.NumUsers(); ++i) {
+    out.append(reinterpret_cast<const char*>(net.WifiRateRow(i)),
+               num_ext * sizeof(double));
+    put(net.UserDemand(i));
+  }
+  return out;
+}
+
+// One epoch's frontier oracle and the snapshot it was solved on.
+struct SharedOracle {
+  std::string snapshot;  // OracleInputBytes
+  std::size_t hash = 0;  // of `snapshot`
+  sim::EpochOracle oracle;
+};
+
 // The slots one task uses; null for a value it does not use or (the
 // association, when SweepOptions::eval carries a plan) must not share.
 struct TaskSlots {
   Slot<model::Network>* network = nullptr;
   Slot<model::Assignment>* association = nullptr;
   Slot<sim::WorkloadTrace>* trace = nullptr;
+  std::vector<Slot<SharedOracle>*> oracles;  // by epoch - 1
 };
 
 class SharedInputs {
@@ -138,11 +179,19 @@ class SharedInputs {
       if (spec.IsDynamic()) {
         // The trace seed folds in neither policy, budget nor sharing.
         if (spec.num_channels <= 0) {
-          t.trace = traces_.Add(
-              {scenario, static_cast<std::uint64_t>(spec.mobility),
-               std::bit_cast<std::uint64_t>(spec.churn_rate),
-               static_cast<std::uint64_t>(spec.load)},
-              i, runs);
+          SlotKey key = {scenario, static_cast<std::uint64_t>(spec.mobility),
+                         std::bit_cast<std::uint64_t>(spec.churn_rate),
+                         static_cast<std::uint64_t>(spec.load)};
+          t.trace = traces_.Add(key, i, runs);
+          // The trace drives every scoring snapshot; the oracle scores it
+          // under the task's sharing mode.
+          if (grid.frontier_oracle) {
+            key[4] = static_cast<std::uint64_t>(spec.sharing);
+            for (int epoch = 1; epoch <= grid.frontier_epochs; ++epoch) {
+              key[5] = static_cast<std::uint64_t>(epoch);
+              t.oracles.push_back(oracles_.Add(key, i, runs));
+            }
+          }
         }
       } else if (share_associations &&
                  !(spec.num_channels > 0 &&
@@ -161,6 +210,7 @@ class SharedInputs {
   SlotTable<model::Network> networks_;
   SlotTable<model::Assignment> associations_;
   SlotTable<sim::WorkloadTrace> traces_;
+  SlotTable<SharedOracle> oracles_;
   std::vector<TaskSlots> tasks_;
 };
 
@@ -177,6 +227,7 @@ class TaskInputs {
     Release(slots_.network);
     Release(slots_.association);
     Release(slots_.trace);
+    for (Slot<SharedOracle>* slot : slots_.oracles) Release(slot);
   }
   TaskInputs(const TaskInputs&) = delete;
   TaskInputs& operator=(const TaskInputs&) = delete;
@@ -194,6 +245,35 @@ class TaskInputs {
     return Use(slots_.trace, trace_, compute);
   }
 
+  // Epoch `epoch`'s frontier oracle for `snapshot`. A shared slot's value
+  // is read only when the snapshot it was solved on has the same bytes as
+  // this one. Otherwise `solve` runs here, charged to this task, and
+  // sweep.shared.mismatched counts it.
+  template <typename Solve>
+  sim::EpochOracle Oracle(int epoch, const model::Network& snapshot,
+                          Solve&& solve) {
+    const std::size_t e = static_cast<std::size_t>(epoch - 1);
+    Slot<SharedOracle>* slot =
+        e < slots_.oracles.size() ? slots_.oracles[e] : nullptr;
+    if (slot == nullptr || slot->uses < 2) return solve();
+    std::string bytes = OracleInputBytes(snapshot);
+    const std::size_t hash = std::hash<std::string_view>{}(bytes);
+    // A filling call hands its bytes to the slot and needs no compare.
+    const auto compute = [&] {
+      return SharedOracle{std::move(bytes), hash, solve()};
+    };
+    const bool filled = Fill(slot, compute);
+    const SharedOracle& shared = *slot->value;
+    if (!filled && (shared.hash != hash || shared.snapshot != bytes)) {
+      if (registry_ != nullptr) {
+        registry_->GetCounter("sweep.shared.mismatched").Add(1);
+      }
+      return solve();
+    }
+    Charge(*slot);
+    return shared.oracle;
+  }
+
   // The metrics of the shared computations this task owns, whichever task
   // ran them.
   const obs::MetricsSnapshot& owned_work() const { return owned_work_; }
@@ -204,32 +284,43 @@ class TaskInputs {
     // Inline when the memo keeps no slot for the value or no other task of
     // the grid uses it.
     if (slot == nullptr || slot->uses < 2) return local.emplace(compute());
-    {
-      const std::lock_guard<std::mutex> lock(slot->mu);
-      if (!slot->value) {
-        // Under its own registry, so its work lands on the owner alone
-        // and the run's metrics cannot see which task got here first. A
-        // throw leaves the slot empty for the next user to retry.
-        if (registry_ != nullptr) {
-          obs::MetricsRegistry work;
-          {
-            const obs::ScopedMetrics scoped(work);
-            slot->value.emplace(compute());
-          }
-          slot->work = work.Snapshot();
-        } else {
-          slot->value.emplace(compute());
-        }
+    Fill(slot, compute);
+    Charge(*slot);
+    return *slot->value;
+  }
+
+  // Computes the slot's value unless another user already has; true when
+  // this call computed it. The value is read-only once set.
+  template <typename T, typename Compute>
+  bool Fill(Slot<T>* slot, Compute& compute) {
+    const std::lock_guard<std::mutex> lock(slot->mu);
+    if (slot->value) return false;
+    // Under its own registry, so its work lands on the owner alone and
+    // the run's metrics cannot see which task got here first. A throw
+    // leaves the slot empty for the next user to retry.
+    if (registry_ != nullptr) {
+      obs::MetricsRegistry work;
+      {
+        const obs::ScopedMetrics scoped(work);
+        slot->value.emplace(compute());
       }
+      slot->work = work.Snapshot();
+    } else {
+      slot->value.emplace(compute());
     }
-    const bool owner = slot->owner == index_;
-    if (owner) owned_work_.Merge(slot->work);
+    return true;
+  }
+
+  // Charges the slot's computation to its owner and counts this use.
+  template <typename T>
+  void Charge(const Slot<T>& slot) {
+    const bool owner = slot.owner == index_;
+    if (owner) owned_work_.Merge(slot.work);
     if (registry_ != nullptr) {
       registry_->GetCounter(owner ? "sweep.shared.computed"
                                   : "sweep.shared.reused")
           .Add(1);
     }
-    return *slot->value;
   }
 
   template <typename T>
@@ -241,7 +332,7 @@ class TaskInputs {
     }
   }
 
-  TaskSlots slots_;
+  const TaskSlots& slots_;
   std::size_t index_;
   obs::MetricsRegistry* registry_;
   // Values no other task uses, computed inline.
@@ -338,6 +429,14 @@ sim::FrontierResult RunFrontierTask(const SweepGrid& grid,
   fp.oracle_bf_max_users = grid.frontier_oracle_bf_max_users;
   fp.quarantine = grid.frontier_quarantine;
   fp.eval = eval;
+  // Policy and budget change only the assignment, which the oracle never
+  // reads, so the scenario's other tasks score the same snapshots; the
+  // memo checks that byte for byte before sharing an epoch's oracle.
+  fp.oracle = [&inputs, &fp](int epoch, const model::Network& snapshot) {
+    return inputs.Oracle(epoch, snapshot, [&] {
+      return sim::SolveFrontierOracle(snapshot, fp);
+    });
+  };
   return sim::RunTraceFrontier(net, trace, MakePolicy(spec.policy, eval), fp);
 }
 

@@ -1,20 +1,25 @@
 // The sweep engine computes each distinct input of a run once — scenario
-// networks, plan-blind associations and workload traces — and this must
-// change no byte of its output. Every task of three grids is re-derived
-// here from the public parts with no memo (ScenarioGenerator, MakePolicy +
-// sim::EvaluateTrial, the joint solvers, GenerateTrace + RunTraceFrontier).
-// The re-derived records are journaled and restored by a resume run that
+// networks, plan-blind associations, workload traces and each epoch's
+// frontier oracle — and this must change no byte of its output. Every task
+// of four grids is re-derived here from the public parts with no memo
+// (ScenarioGenerator, MakePolicy + sim::EvaluateTrial, the joint solvers,
+// GenerateTrace + RunTraceFrontier solving every oracle in place). The
+// re-derived records are journaled and restored by a resume run that
 // executes no task, so the engine's own fold builds the reference groups.
 // The engine's task CSV, group CSV and JSON at 1, 2 and 4 threads, and at 4
 // threads with chunk 1 and per-task sleeps, must equal that reference byte
-// for byte, and its deterministic metrics must agree across those runs.
+// for byte, its deterministic metrics must agree across those runs, and no
+// shared oracle may meet a snapshot other than the one it was solved on
+// (sweep.shared.mismatched never appears).
 //
 // The grids: a static one crossing channels {0, 2}, all five policies, two
 // sharing modes and two user counts; a dynamic one over three reopt
-// budgets; and a static one whose shared EvalOptions carry contention
-// domains, where the plan-blind association differs from the channels = 0
-// one and must not be shared. The sharing counters and, with observability
-// compiled in, the solver work counters pin that sharing happens at all.
+// budgets; a dynamic one whose background traffic trips the flap
+// quarantine, so the scoring snapshots carry quarantine-pinned capacities;
+// and a static one whose shared EvalOptions carry contention domains, where
+// the plan-blind association differs from the channels = 0 one and must not
+// be shared. The sharing counters and, with observability compiled in, the
+// solver work counters pin that sharing happens at all.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -80,6 +85,22 @@ SweepGrid DynamicGrid() {
   return grid;
 }
 
+// DynamicGrid() over two sharing modes (24 tasks), with background traffic
+// that silences each PLC domain now and then and a flap quarantine that
+// keeps a flapping backhaul at zero for a while after the traffic stops.
+// The sharing mode enters the oracle's scoring but not the snapshot.
+SweepGrid QuarantineGrid() {
+  SweepGrid grid = DynamicGrid();
+  grid.master_seed = 0x0A7C1EULL;
+  grid.sharing = {model::PlcSharing::kMaxMinActive,
+                  model::PlcSharing::kEqualAll};
+  grid.workload.background_share = 1.0;
+  grid.workload.background_flip_rate = 1.0;
+  grid.frontier_quarantine.flap_threshold = 2;
+  grid.frontier_quarantine.hold = 12.0;
+  return grid;
+}
+
 // 3 seeds x 2 channel counts x 3 policies = 18, scored with the contention
 // domains of ContentionEval().
 SweepGrid ContentionGrid() {
@@ -118,6 +139,40 @@ void Fill(const sim::TrialRecord& record, TaskResult* task) {
   for (double x : record.user_throughput_mbps) task->user_throughput.Add(x);
 }
 
+// A dynamic task's trace and frontier parameters, as the engine's task
+// body defines them (no oracle hook: every oracle is solved in place).
+sim::WorkloadTrace TaskTrace(const SweepGrid& grid, const TaskSpec& spec,
+                             const model::Network& net) {
+  sim::WorkloadParams wp = grid.workload;
+  wp.mobility.model = spec.mobility;
+  wp.arrival_rate = spec.churn_rate;
+  wp.load = spec.load;
+  wp.initial_users = spec.num_users;
+  wp.horizon =
+      grid.frontier_epoch_length * static_cast<double>(grid.frontier_epochs);
+  sim::ScenarioParams params = grid.base;
+  params.num_users = 0;
+  params.num_extenders = spec.num_extenders;
+  return sim::GenerateTrace(
+      sim::ScenarioGenerator(params), net, wp,
+      util::HashCombine64(util::HashCombine64(grid.master_seed, spec.seed),
+                          0x544b4c4f57545243ULL + spec.scenario_ordinal));
+}
+
+sim::FrontierParams TaskFrontierParams(const SweepGrid& grid,
+                                       const TaskSpec& spec,
+                                       const model::EvalOptions& eval) {
+  sim::FrontierParams fp;
+  fp.epoch_length = grid.frontier_epoch_length;
+  fp.epochs = grid.frontier_epochs;
+  fp.tier = core::TierForBudgetUnits(spec.reopt_budget);
+  fp.compute_oracle = grid.frontier_oracle;
+  fp.oracle_bf_max_users = grid.frontier_oracle_bf_max_users;
+  fp.quarantine = grid.frontier_quarantine;
+  fp.eval = eval;
+  return fp;
+}
+
 // One task computed afresh, as the engine's task body defines it.
 TaskResult Rederive(const SweepGrid& grid, const model::EvalOptions& shared,
                     std::size_t index) {
@@ -130,30 +185,9 @@ TaskResult Rederive(const SweepGrid& grid, const model::EvalOptions& shared,
   eval.plc_sharing = spec.sharing;
 
   if (spec.IsDynamic()) {
-    sim::WorkloadParams wp = grid.workload;
-    wp.mobility.model = spec.mobility;
-    wp.arrival_rate = spec.churn_rate;
-    wp.load = spec.load;
-    wp.initial_users = spec.num_users;
-    wp.horizon = grid.frontier_epoch_length *
-                 static_cast<double>(grid.frontier_epochs);
-    sim::ScenarioParams params = grid.base;
-    params.num_users = 0;
-    params.num_extenders = spec.num_extenders;
-    const sim::WorkloadTrace trace = sim::GenerateTrace(
-        sim::ScenarioGenerator(params), net, wp,
-        util::HashCombine64(util::HashCombine64(grid.master_seed, spec.seed),
-                            0x544b4c4f57545243ULL + spec.scenario_ordinal));
-    sim::FrontierParams fp;
-    fp.epoch_length = grid.frontier_epoch_length;
-    fp.epochs = grid.frontier_epochs;
-    fp.tier = core::TierForBudgetUnits(spec.reopt_budget);
-    fp.compute_oracle = grid.frontier_oracle;
-    fp.oracle_bf_max_users = grid.frontier_oracle_bf_max_users;
-    fp.quarantine = grid.frontier_quarantine;
-    fp.eval = eval;
     const sim::FrontierResult fr = sim::RunTraceFrontier(
-        net, trace, MakePolicy(spec.policy, eval), fp);
+        net, TaskTrace(grid, spec, net), MakePolicy(spec.policy, eval),
+        TaskFrontierParams(grid, spec, eval));
     sim::TrialRecord record;
     record.aggregate_mbps = fr.mean_aggregate_mbps;
     record.jain_fairness = fr.mean_jain;
@@ -266,6 +300,13 @@ std::uint64_t CounterValue(const obs::MetricsSnapshot& snap,
   return 0;
 }
 
+bool HasCounter(const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const obs::CounterSample& c : snap.counters) {
+    if (c.name == name) return true;
+  }
+  return false;
+}
+
 // Runs `grid` through the engine in every configuration and expects the
 // reference's report bytes from each, and one deterministic metrics
 // document across them. Returns the 1-thread run.
@@ -296,6 +337,8 @@ SweepResult ExpectMatchesRederivation(const SweepGrid& grid,
     EXPECT_EQ(GroupCsvString(run.result), GroupCsvString(want)) << run.what;
     EXPECT_EQ(JsonString(run.result), JsonString(want)) << run.what;
     EXPECT_EQ(run.result.metrics.DeterministicJson(), metrics) << run.what;
+    EXPECT_FALSE(HasCounter(run.result.metrics, "sweep.shared.mismatched"))
+        << run.what;
   }
   return one;
 }
@@ -317,12 +360,69 @@ TEST(SweepSharedTest, DynamicGridMatchesRederivation) {
   const SweepGrid grid = DynamicGrid();
   ASSERT_EQ(grid.NumTasks(), 12u);
   const SweepResult one = ExpectMatchesRederivation(grid, {});
-  // 2 scenarios of 6 tasks share a network and a trace each.
-  EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.computed"), 4u);
-  EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.reused"), 20u);
+  // 2 scenarios of 6 tasks share a network, a trace and 3 epoch oracles
+  // each: 10 slots of 6 users, so 10 owners and 50 reusers.
+  EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.computed"), 10u);
+  EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.reused"), 50u);
 #if WOLT_OBS_ENABLED
   EXPECT_EQ(CounterValue(one.metrics, "workload.traces"), 2u);
+  // Every task scores 3 epochs against an oracle, solved once per
+  // scenario epoch.
+  EXPECT_EQ(CounterValue(one.metrics, "workload.oracle.solves"), 36u);
 #endif
+}
+
+// The PLC capacities of every scoring snapshot of `spec`'s replay, with the
+// grid's quarantine or none. The oracle hook reads each snapshot and
+// returns the in-place solve.
+std::vector<std::vector<double>> SnapshotCapacities(
+    const SweepGrid& grid, const TaskSpec& spec, bool quarantine) {
+  const model::Network net = ScenarioNetwork(grid, spec);
+  model::EvalOptions eval;
+  eval.plc_sharing = spec.sharing;
+  sim::FrontierParams fp = TaskFrontierParams(grid, spec, eval);
+  if (!quarantine) fp.quarantine = {};
+  std::vector<std::vector<double>> capacities;
+  fp.oracle = [&](int, const model::Network& snapshot) {
+    std::vector<double>& c = capacities.emplace_back();
+    for (std::size_t j = 0; j < snapshot.NumExtenders(); ++j) {
+      c.push_back(snapshot.PlcRate(j));
+    }
+    return sim::SolveFrontierOracle(snapshot, fp);
+  };
+  sim::RunTraceFrontier(net, TaskTrace(grid, spec, net),
+                        MakePolicy(spec.policy, eval), fp);
+  return capacities;
+}
+
+TEST(SweepSharedTest, QuarantinedSnapshotsShareOracles) {
+  const SweepGrid grid = QuarantineGrid();
+  ASSERT_EQ(grid.NumTasks(), 24u);
+  const SweepResult one = ExpectMatchesRederivation(grid, {});
+  // Per scenario, 12 tasks share a network and a trace, and each sharing
+  // mode's 6 tasks share 3 epoch oracles: 2 scenarios x (2 + 6) slots
+  // give 16 owners and 2 x (2 x 11 + 6 x 5) = 104 reusers.
+  EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.computed"), 16u);
+  EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.reused"), 104u);
+
+  // The quarantine trips, and it holds some snapshot's capacity at zero
+  // where the replay without it would have restored the link.
+  std::uint64_t trips = 0;
+  for (const TaskResult& task : one.tasks) trips += task.quarantine_trips;
+  EXPECT_GT(trips, 0u);
+  std::size_t pinned = 0;
+  for (std::size_t i = 0; i < grid.NumTasks(); ++i) {
+    const TaskSpec spec = grid.TaskAt(i);
+    const auto with = SnapshotCapacities(grid, spec, /*quarantine=*/true);
+    const auto without = SnapshotCapacities(grid, spec, /*quarantine=*/false);
+    ASSERT_EQ(with.size(), without.size());
+    for (std::size_t e = 0; e < with.size(); ++e) {
+      for (std::size_t j = 0; j < with[e].size(); ++j) {
+        if (with[e][j] == 0.0 && without[e][j] > 0.0) ++pinned;
+      }
+    }
+  }
+  EXPECT_GT(pinned, 0u);
 }
 
 TEST(SweepSharedTest, ContentionDomainsKeepAssociationsPerTask) {
