@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -385,11 +386,16 @@ class UnscreenedSearch {
 };
 
 // A random co-channel instance: 1-3 PLC domains, some dead backhauls and
-// B_j caps, a channel plan or explicit contention domains. Half of them
-// have backhauls far faster than any cell's air, so every cell is
-// WiFi-limited and a move's aggregate equals its demand bound.
+// B_j caps, a channel plan or explicit contention domains. With
+// `fast_backhaul` every backhaul is far faster than any cell's air, so every
+// cell is WiFi-limited and a move's aggregate equals its demand bound. With
+// `quantized`, rates come from a few MCS-like steps, and every other user
+// hears each of its extenders at one step give or take a few ULPs, so many
+// moves tie or gain a single ULP.
 model::Network CoChannelNetwork(util::Rng& rng, std::size_t users,
-                                std::size_t exts, bool fast_backhaul) {
+                                std::size_t exts, bool fast_backhaul,
+                                bool quantized) {
+  const double steps[] = {6.5, 13.0, 19.5, 26.0, 39.0, 52.0, 58.5, 65.0};
   model::Network net(users, exts);
   const int domains = rng.UniformInt(1, 3);
   for (std::size_t j = 0; j < exts; ++j) {
@@ -401,9 +407,17 @@ model::Network CoChannelNetwork(util::Rng& rng, std::size_t users,
     net.SetExtenderPosition(
         j, {rng.Uniform(0.0, 120.0), rng.Uniform(0.0, 120.0)});
   }
+  const double ulp = std::numeric_limits<double>::epsilon();
   for (std::size_t i = 0; i < users; ++i) {
+    const double step = steps[rng.UniformInt(0, 7)];
     for (std::size_t j = 0; j < exts; ++j) {
-      if (rng.Bernoulli(0.7)) net.SetWifiRate(i, j, rng.Uniform(5.0, 300.0));
+      if (!rng.Bernoulli(0.7)) continue;
+      double rate = rng.Uniform(5.0, 300.0);
+      if (quantized) {
+        rate = i % 2 == 0 ? steps[rng.UniformInt(0, 7)]
+                          : step * (1.0 + rng.UniformInt(0, 3) * ulp);
+      }
+      net.SetWifiRate(i, j, rate);
     }
   }
   return net;
@@ -444,14 +458,15 @@ TEST(CoChannelScreenTest, ScreenedSearchEqualsUnscreened) {
   for (int trial = 0; trial < 240; ++trial) {
     const std::size_t users = static_cast<std::size_t>(rng.UniformInt(4, 30));
     const std::size_t exts = static_cast<std::size_t>(rng.UniformInt(2, 8));
-    const model::Network net =
-        CoChannelNetwork(rng, users, exts, /*fast_backhaul=*/trial % 2 == 0);
+    const bool quantized = trial % 4 >= 2;
+    const model::Network net = CoChannelNetwork(
+        rng, users, exts, /*fast_backhaul=*/trial % 2 == 0, quantized);
     LocalSearchOptions options;
     options.objective = Phase2Objective::kEndToEnd;
     options.eval = CoChannelEval(rng, exts, trial);
-    // The paper's tolerance, and none: then a WiFi-limited move whose
-    // aggregate equals its bound is accepted by any gain at all.
-    options.improvement_tolerance = trial % 3 == 0 ? 0.0 : 1e-5;
+    // The paper's tolerance, and none: then a move is accepted for any
+    // gain, down to one ULP, and its bound must not be a ULP too low.
+    options.improvement_tolerance = quantized || trial % 3 == 0 ? 0.0 : 1e-5;
     std::vector<std::size_t> everyone(users);
     for (std::size_t i = 0; i < users; ++i) everyone[i] = i;
     std::vector<std::size_t> movable;
