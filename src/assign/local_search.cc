@@ -790,12 +790,12 @@ LocalSearchStats RelocateWifi(const SearchContext& ctx,
 // candidate move delegates to model::IncrementalEvaluator (O(|PLC domain|)
 // per move, allocation-free). No full Evaluator run happens per move.
 //
-// Under co-channel contention the end-to-end search first reads the
-// engine's demand bound (MoveDemandBound / SwapDemandBound), an exact upper
-// bound on the peek's aggregate, and skips the peek when the bound cannot
-// beat the acceptance threshold. The skipped candidate could not have been
-// accepted, so the search visits, accepts and rejects the same moves; its
-// tally counts the candidate as pruned.
+// Under co-channel contention the end-to-end search peeks through
+// PeekMoveAbove / PeekSwapAbove, which read the engine's demand bound, an
+// exact upper bound on the peek's aggregate, and skip the peek when the
+// bound cannot beat the acceptance threshold. The skipped candidate could
+// not have been accepted, so the search visits, accepts and rejects the
+// same moves; its tally counts the candidate as pruned.
 
 // True when `inc` can bound `objective`'s peeks (see above).
 bool ScreensPeeks(const model::IncrementalEvaluator& inc,
@@ -831,12 +831,12 @@ void GreedyInsertInc(const SearchContext& ctx, const model::Network& net,
     double best_value = 0.0;
     for (std::size_t j = 0; j < ctx.num_extenders; ++j) {
       if (!ctx.Usable(user, j) || !ctx.HasRoom(j, inc.Load(j))) continue;
-      if (screen && best_ext >= 0 &&
-          inc.MoveDemandBound(user, static_cast<int>(j)) <= best_value) {
-        continue;
-      }
-      const double candidate =
-          ValueOf(inc.PeekMove(user, static_cast<int>(j)), options.objective);
+      const std::optional<model::IncrementalValues> peek =
+          screen && best_ext >= 0
+              ? inc.PeekMoveAbove(user, static_cast<int>(j), best_value)
+              : inc.PeekMove(user, static_cast<int>(j));
+      if (!peek) continue;
+      const double candidate = ValueOf(*peek, options.objective);
       if (best_ext < 0 || candidate > best_value) {
         best_value = candidate;
         best_ext = static_cast<int>(j);
@@ -891,15 +891,15 @@ LocalSearchStats RelocateInc(const SearchContext& ctx,
           continue;
         }
         const double threshold = best_value + options.improvement_tolerance;
-        if (screen &&
-            inc.MoveDemandBound(user, static_cast<int>(j)) <= threshold) {
+        const std::optional<model::IncrementalValues> peek =
+            screen ? inc.PeekMoveAbove(user, static_cast<int>(j), threshold)
+                   : inc.PeekMove(user, static_cast<int>(j));
+        if (!peek) {
           rel.Prune();
           continue;
         }
         rel.Evaluate();
-        const double candidate =
-            ValueOf(inc.PeekMove(user, static_cast<int>(j)),
-                    options.objective);
+        const double candidate = ValueOf(*peek, options.objective);
         if (candidate > threshold) {
           best_value = candidate;
           best_ext = static_cast<int>(j);
@@ -937,13 +937,15 @@ LocalSearchStats RelocateInc(const SearchContext& ctx,
             continue;
           }
           const double threshold = value + options.improvement_tolerance;
-          if (screen && inc.SwapDemandBound(u1, u2) <= threshold) {
+          const std::optional<model::IncrementalValues> peek =
+              screen ? inc.PeekSwapAbove(u1, u2, threshold)
+                     : inc.PeekSwap(u1, u2);
+          if (!peek) {
             swp.Prune();
             continue;
           }
           swp.Evaluate();
-          const double candidate =
-              ValueOf(inc.PeekSwap(u1, u2), options.objective);
+          const double candidate = ValueOf(*peek, options.objective);
           if (candidate > threshold) {
             inc.ApplyMove(u1, static_cast<int>(x2));
             inc.ApplyMove(u2, static_cast<int>(x1));

@@ -16,7 +16,11 @@
 // allocations). No full evaluator run happens inside the relocate/swap
 // inner loops, except when users carry demands or the proportional-fair
 // objective runs under co-channel contention (the engine's kReevaluate
-// regime).
+// regime). Under co-channel contention the end-to-end search reads the
+// engine's exact demand bound first and does not peek a move whose bound
+// cannot pass the acceptance test; such a move could not be accepted, so
+// the search visits, accepts and rejects the same moves, and tallies it as
+// pruned.
 #pragma once
 
 #include <cstddef>

@@ -370,8 +370,36 @@ double IncrementalEvaluator::DemandBound(const std::size_t* cells,
                                     changed[c])]));
   }
 
-  // Before `start` every demand is the committed one.
   const std::size_t num_ext = load_.size();
+  if (step[0] == 0 && step[1] == 0) {
+    // No peer count changes, so only the touched cells' demands do: the
+    // committed demands around them, in extender order.
+    std::size_t cell[2] = {cells[0], cells[0]};
+    double demand[2] = {0.0, 0.0};
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t j = cells[k];
+      const std::size_t slot = count == 2 && cells[1 - k] < j ? 1 : 0;
+      cell[slot] = j;
+      demand[slot] =
+          peek_load[k] == 0 || plc_rate_[j] <= 0.0
+              ? 0.0
+              : static_cast<double>(peek_load[k]) / peek_sum[k] /
+                    static_cast<double>(
+                        wifi_active_[static_cast<std::size_t>(
+                            wifi_domain_[j])]);
+    }
+    double bound = demand_prefix_[cell[0]] + demand[0];
+    std::size_t next = cell[0] + 1;
+    if (count == 2) {
+      for (; next < cell[1]; ++next) bound += wifi_demand_[next];
+      bound += demand[1];
+      ++next;
+    }
+    for (; next < num_ext; ++next) bound += wifi_demand_[next];
+    return bound;
+  }
+
+  // Before `start` every demand is the committed one.
   double bound = demand_prefix_[start];
   for (std::size_t j = start; j < num_ext; ++j) {
     int load = load_[j];
@@ -663,21 +691,22 @@ IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
   return PeekCells(cells, peek_load, peek_demand, 2);
 }
 
-double IncrementalEvaluator::MoveDemandBound(std::size_t user, int to) const {
+std::size_t IncrementalEvaluator::BoundedMoveCells(std::size_t user, int to,
+                                                   std::size_t* cells,
+                                                   int* peek_load,
+                                                   double* peek_sum) const {
   CheckExact();
   CheckUser(user);
-  if (to == ext_of_[user]) return demand_prefix_.back();
+  if (to == ext_of_[user]) return 0;
   CheckTarget(user, to);
-  std::size_t cells[2];
-  int peek_load[2];
-  double peek_sum[2];
-  const std::size_t count =
-      ExactMoveCells(user, to, cells, peek_load, peek_sum);
-  return DemandBound(cells, peek_load, peek_sum, count);
+  return ExactMoveCells(user, to, cells, peek_load, peek_sum);
 }
 
-double IncrementalEvaluator::SwapDemandBound(std::size_t u1,
-                                             std::size_t u2) const {
+std::size_t IncrementalEvaluator::BoundedSwapCells(std::size_t u1,
+                                                   std::size_t u2,
+                                                   std::size_t* cells,
+                                                   int* peek_load,
+                                                   double* peek_sum) const {
   CheckExact();
   CheckUser(u1);
   CheckUser(u2);
@@ -686,7 +715,7 @@ double IncrementalEvaluator::SwapDemandBound(std::size_t u1,
   if (e1 == Assignment::kUnassigned || e2 == Assignment::kUnassigned) {
     throw std::invalid_argument("swap requires two assigned users");
   }
-  if (e1 == e2) return demand_prefix_.back();
+  if (e1 == e2) return 0;
   const std::size_t x1 = static_cast<std::size_t>(e1);
   const std::size_t x2 = static_cast<std::size_t>(e2);
   const std::size_t num_ext = load_.size();
@@ -694,10 +723,67 @@ double IncrementalEvaluator::SwapDemandBound(std::size_t u1,
       inv_rate_[u2 * num_ext + x1] <= 0.0) {
     throw std::invalid_argument("swap to unreachable extender");
   }
-  const std::size_t cells[2] = {x1, x2};
-  const int peek_load[2] = {load_[x1], load_[x2]};
-  const double peek_sum[2] = {CellSum(x1, u1, u2), CellSum(x2, u2, u1)};
-  return DemandBound(cells, peek_load, peek_sum, 2);
+  cells[0] = x1;
+  cells[1] = x2;
+  peek_load[0] = load_[x1];
+  peek_load[1] = load_[x2];
+  peek_sum[0] = CellSum(x1, u1, u2);
+  peek_sum[1] = CellSum(x2, u2, u1);
+  return 2;
+}
+
+double IncrementalEvaluator::MoveDemandBound(std::size_t user, int to) const {
+  std::size_t cells[2];
+  int peek_load[2];
+  double peek_sum[2];
+  const std::size_t count =
+      BoundedMoveCells(user, to, cells, peek_load, peek_sum);
+  return count == 0 ? demand_prefix_.back()
+                    : DemandBound(cells, peek_load, peek_sum, count);
+}
+
+double IncrementalEvaluator::SwapDemandBound(std::size_t u1,
+                                             std::size_t u2) const {
+  std::size_t cells[2];
+  int peek_load[2];
+  double peek_sum[2];
+  const std::size_t count =
+      BoundedSwapCells(u1, u2, cells, peek_load, peek_sum);
+  return count == 0 ? demand_prefix_.back()
+                    : DemandBound(cells, peek_load, peek_sum, count);
+}
+
+std::optional<IncrementalValues> IncrementalEvaluator::PeekMoveAbove(
+    std::size_t user, int to, double threshold) {
+  std::size_t cells[2];
+  int peek_load[2];
+  double peek_sum[2];
+  const std::size_t count =
+      BoundedMoveCells(user, to, cells, peek_load, peek_sum);
+  return ScreenedPeek(cells, peek_load, peek_sum, count, threshold);
+}
+
+std::optional<IncrementalValues> IncrementalEvaluator::PeekSwapAbove(
+    std::size_t u1, std::size_t u2, double threshold) {
+  std::size_t cells[2];
+  int peek_load[2];
+  double peek_sum[2];
+  const std::size_t count =
+      BoundedSwapCells(u1, u2, cells, peek_load, peek_sum);
+  return ScreenedPeek(cells, peek_load, peek_sum, count, threshold);
+}
+
+std::optional<IncrementalValues> IncrementalEvaluator::ScreenedPeek(
+    const std::size_t* cells, const int* peek_load, const double* peek_sum,
+    std::size_t count, double threshold) {
+  if (count == 0) {  // the move changes nothing
+    if (demand_prefix_.back() <= threshold) return std::nullopt;
+    return values_;
+  }
+  if (DemandBound(cells, peek_load, peek_sum, count) <= threshold) {
+    return std::nullopt;
+  }
+  return PeekExact(cells, peek_load, peek_sum, count);
 }
 
 IncrementalValues IncrementalEvaluator::MoveDelta(std::size_t user, int to) {

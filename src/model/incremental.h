@@ -48,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "model/assignment.h"
@@ -143,6 +144,16 @@ class IncrementalEvaluator {
   double MoveDemandBound(std::size_t user, int to) const;
   double SwapDemandBound(std::size_t u1, std::size_t u2) const;
 
+  // kExact only: PeekMove(user, to) when MoveDemandBound(user, to) >
+  // threshold, and nullopt otherwise (the peek's aggregate could not
+  // exceed `threshold` then); likewise for swaps. The bound and the peek
+  // share the touched cells' harmonic sums.
+  std::optional<IncrementalValues> PeekMoveAbove(std::size_t user, int to,
+                                                 double threshold);
+  std::optional<IncrementalValues> PeekSwapAbove(std::size_t u1,
+                                                 std::size_t u2,
+                                                 double threshold);
+
  private:
   // Throw std::invalid_argument unless `user` is known / `to` is a legal
   // target for it (kUnassigned or a reachable extender).
@@ -185,6 +196,18 @@ class IncrementalEvaluator {
   // hypothetical loads and harmonic sums; returns how many (<= 2).
   std::size_t ExactMoveCells(std::size_t user, int to, std::size_t* cells,
                              int* peek_load, double* peek_sum) const;
+  // The bounds' argument checks, then the touched cells of the move or
+  // swap (0 when it changes nothing).
+  std::size_t BoundedMoveCells(std::size_t user, int to, std::size_t* cells,
+                               int* peek_load, double* peek_sum) const;
+  std::size_t BoundedSwapCells(std::size_t u1, std::size_t u2,
+                               std::size_t* cells, int* peek_load,
+                               double* peek_sum) const;
+  std::optional<IncrementalValues> ScreenedPeek(const std::size_t* cells,
+                                                const int* peek_load,
+                                                const double* peek_sum,
+                                                std::size_t count,
+                                                double threshold);
   void CheckExact() const;
 
   static constexpr std::size_t kNoUser = static_cast<std::size_t>(-1);

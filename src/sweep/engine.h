@@ -24,7 +24,20 @@
 //    wifi_contention_domain, since only then is that call's plan-blind
 //    EvalOptions the channels = 0 task's;
 //  * the workload trace, keyed by (scenario ordinal, mobility, churn rate,
-//    load curve).
+//    load curve);
+//  * each epoch's frontier oracle (when the grid's frontier_oracle is on),
+//    keyed by (the trace's key, sharing, epoch). The trace alone drives
+//    the scoring snapshot, and the oracle never reads the assignment, so
+//    every policy and budget of a scenario scores the same snapshot. The
+//    slot holds the value with a byte encoding of every snapshot field the
+//    oracle can read (the counts; per extender the PLC rate, PLC domain,
+//    user cap, WiFi channel and position; per user the rate row and
+//    demand). A user reads the value only when its own snapshot encodes to
+//    the same bytes (hash, then byte compare). On a mismatch it solves the
+//    oracle itself, charged to itself, and counts sweep.shared.mismatched,
+//    a counter registered only then; the values stay exact either way, but
+//    which task meets the mismatch, and so the metrics, may then depend on
+//    the schedule.
 // A value only one task of the grid uses is computed inline. A shared
 // value is computed under its slot's mutex, read-only afterwards, and freed
 // when the last task of this Run that uses it finishes, so memory follows
@@ -35,8 +48,9 @@
 // that uses it, whichever task computed it. A restored owner's journal
 // record already carries the charge, so a recomputation after a resume
 // charges nothing. The owner also counts sweep.shared.computed and every
-// other user sweep.shared.reused. The merged metrics are therefore the same
-// at any thread count and after a kill anywhere.
+// other user sweep.shared.reused (one of each per oracle epoch). The merged
+// metrics are therefore the same at any thread count and after a kill
+// anywhere.
 #pragma once
 
 #include <atomic>

@@ -6,7 +6,9 @@
 // saturated contention-free delta regime may drift by a few ULPs (checked
 // within 1e-9). The co-channel regime (channel plans and explicit contention
 // domains, aggregate only) must be bit-identical to Evaluate after every
-// peek and apply. Per-user demands, and co-channel engines that track log
+// peek and apply, and its demand bound must equal the in-order sum of
+// Evaluate's WiFi throughputs over the active live cells and dominate every
+// peek. Per-user demands, and co-channel engines that track log
 // utility, take the full re-evaluation regime. Peeks (PeekMove / PeekSwap)
 // must match the value a real apply would produce and leave the engine
 // state untouched. Every entry point rejects an unknown user in every
@@ -571,8 +573,14 @@ TEST(IncrementalEvalCoChannel, DemandBoundDominatesEveryPeek) {
           EXPECT_EQ(bound,
                     DemandSum(evaluator.Evaluate(net, moved, scratch), net))
               << step << " move " << u << " -> " << to;
-          EXPECT_LE(inc.PeekMove(u, to).aggregate_mbps, bound)
-              << step << " move " << u << " -> " << to;
+          const double peeked = inc.PeekMove(u, to).aggregate_mbps;
+          EXPECT_LE(peeked, bound) << step << " move " << u << " -> " << to;
+          // The screened peek cuts at the bound exactly.
+          EXPECT_FALSE(inc.PeekMoveAbove(u, to, bound));
+          const auto above =
+              inc.PeekMoveAbove(u, to, std::nextafter(bound, -1.0));
+          ASSERT_TRUE(above) << step << " move " << u << " -> " << to;
+          EXPECT_EQ(above->aggregate_mbps, peeked);
           ++relocations;
         }
       }
@@ -592,8 +600,13 @@ TEST(IncrementalEvalCoChannel, DemandBoundDominatesEveryPeek) {
           EXPECT_EQ(bound,
                     DemandSum(evaluator.Evaluate(net, swapped, scratch), net))
               << step << " swap " << u1 << " <-> " << u2;
-          EXPECT_LE(inc.PeekSwap(u1, u2).aggregate_mbps, bound)
-              << step << " swap " << u1 << " <-> " << u2;
+          const double peeked = inc.PeekSwap(u1, u2).aggregate_mbps;
+          EXPECT_LE(peeked, bound) << step << " swap " << u1 << " <-> " << u2;
+          EXPECT_FALSE(inc.PeekSwapAbove(u1, u2, bound));
+          const auto above =
+              inc.PeekSwapAbove(u1, u2, std::nextafter(bound, -1.0));
+          ASSERT_TRUE(above) << step << " swap " << u1 << " <-> " << u2;
+          EXPECT_EQ(above->aggregate_mbps, peeked);
           ++swaps;
         }
       }
@@ -639,12 +652,21 @@ TEST(IncrementalEvalCoChannel, DemandBoundNeedsTheExactRegime) {
     EXPECT_THROW(inc.MoveDemandBound(0, Assignment::kUnassigned),
                  std::logic_error);
     EXPECT_THROW(inc.SwapDemandBound(0, 1), std::logic_error);
+    IncrementalEvaluator peeking = inc;
+    EXPECT_THROW(peeking.PeekMoveAbove(0, Assignment::kUnassigned, 0.0),
+                 std::logic_error);
+    EXPECT_THROW(peeking.PeekSwapAbove(0, 1, 0.0), std::logic_error);
   }
   const IncrementalEvaluator exact(net, assign, contention,
                                    IncrementalEvaluator::kDefaultLogFloorMbps,
                                    /*track_log_utility=*/false);
   EXPECT_THROW(exact.MoveDemandBound(net.NumUsers(), 0), std::invalid_argument);
   EXPECT_THROW(exact.SwapDemandBound(0, net.NumUsers()),
+               std::invalid_argument);
+  IncrementalEvaluator peeking = exact;
+  EXPECT_THROW(peeking.PeekMoveAbove(net.NumUsers(), 0, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(peeking.PeekSwapAbove(0, net.NumUsers(), 0.0),
                std::invalid_argument);
 }
 
