@@ -352,9 +352,7 @@ double IncrementalEvaluator::DemandBound(const std::size_t* cells,
   // how much; a cell emptied and one filled in the same domain cancel.
   int changed[2] = {-1, -1};
   int step[2] = {0, 0};
-  std::size_t start = cells[0];
   for (std::size_t k = 0; k < count; ++k) {
-    start = std::min(start, cells[k]);
     const int delta =
         (peek_load[k] > 0 ? 1 : 0) - (load_[cells[k]] > 0 ? 1 : 0);
     if (delta == 0) continue;
@@ -363,64 +361,43 @@ double IncrementalEvaluator::DemandBound(const std::size_t* cells,
     changed[c] = d;
     step[c] += delta;
   }
+  const auto peer_step = [&](std::size_t j) {
+    const int d = wifi_domain_[j];
+    return d == changed[0] ? step[0] : d == changed[1] ? step[1] : 0;
+  };
+  const auto demand = [&](std::size_t j, int load, double sum) {
+    if (load == 0 || plc_rate_[j] <= 0.0) return 0.0;
+    const int peers =
+        wifi_active_[static_cast<std::size_t>(wifi_domain_[j])] + peer_step(j);
+    return static_cast<double>(load) / sum / static_cast<double>(peers);
+  };
+
+  // From the first cell whose demand the move changes: a touched cell, or
+  // the first cell of a domain whose peer count it changes.
+  double touched[2] = {0.0, 0.0};
+  std::size_t start = cells[0];
+  for (std::size_t k = 0; k < count; ++k) {
+    start = std::min(start, cells[k]);
+    touched[k] = demand(cells[k], peek_load[k], peek_sum[k]);
+  }
   for (std::size_t c = 0; c < 2; ++c) {
     if (step[c] == 0) continue;
     start = std::min(start, static_cast<std::size_t>(
                                 wifi_first_[static_cast<std::size_t>(
                                     changed[c])]));
   }
-
-  const std::size_t num_ext = load_.size();
-  if (step[0] == 0 && step[1] == 0) {
-    // No peer count changes, so only the touched cells' demands do: the
-    // committed demands around them, in extender order.
-    std::size_t cell[2] = {cells[0], cells[0]};
-    double demand[2] = {0.0, 0.0};
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t j = cells[k];
-      const std::size_t slot = count == 2 && cells[1 - k] < j ? 1 : 0;
-      cell[slot] = j;
-      demand[slot] =
-          peek_load[k] == 0 || plc_rate_[j] <= 0.0
-              ? 0.0
-              : static_cast<double>(peek_load[k]) / peek_sum[k] /
-                    static_cast<double>(
-                        wifi_active_[static_cast<std::size_t>(
-                            wifi_domain_[j])]);
-    }
-    double bound = demand_prefix_[cell[0]] + demand[0];
-    std::size_t next = cell[0] + 1;
-    if (count == 2) {
-      for (; next < cell[1]; ++next) bound += wifi_demand_[next];
-      bound += demand[1];
-      ++next;
-    }
-    for (; next < num_ext; ++next) bound += wifi_demand_[next];
-    return bound;
-  }
-
-  // Before `start` every demand is the committed one.
+  // Idle and dead cells add +0.0, which leaves the sum unchanged.
   double bound = demand_prefix_[start];
-  for (std::size_t j = start; j < num_ext; ++j) {
-    int load = load_[j];
-    double sum = inv_sum_[j];
-    bool touched = false;
-    for (std::size_t k = 0; k < count; ++k) {
-      if (cells[k] != j) continue;
-      load = peek_load[k];
-      sum = peek_sum[k];
-      touched = true;
-    }
-    const int d = wifi_domain_[j];
-    const int delta = d == changed[0] ? step[0] : d == changed[1] ? step[1] : 0;
-    if (!touched && delta == 0) {
+  for (std::size_t j = start; j < load_.size(); ++j) {
+    if (j == cells[0]) {
+      bound += touched[0];
+    } else if (count == 2 && j == cells[1]) {
+      bound += touched[1];
+    } else if (peer_step(j) == 0) {
       bound += wifi_demand_[j];
-      continue;
+    } else {
+      bound += demand(j, load_[j], inv_sum_[j]);
     }
-    if (load == 0 || plc_rate_[j] <= 0.0) continue;
-    const double peers = static_cast<double>(
-        wifi_active_[static_cast<std::size_t>(d)] + delta);
-    bound += static_cast<double>(load) / sum / peers;
   }
   return bound;
 }
