@@ -668,22 +668,24 @@ IncrementalValues IncrementalEvaluator::PeekSwap(std::size_t u1,
   return PeekCells(cells, peek_load, peek_demand, 2);
 }
 
-std::size_t IncrementalEvaluator::BoundedMoveCells(std::size_t user, int to,
-                                                   std::size_t* cells,
-                                                   int* peek_load,
-                                                   double* peek_sum) const {
+std::optional<IncrementalValues> IncrementalEvaluator::PeekMoveAbove(
+    std::size_t user, int to, double threshold) {
   CheckExact();
   CheckUser(user);
-  if (to == ext_of_[user]) return 0;
+  if (to == ext_of_[user]) {
+    return ScreenedPeek(nullptr, nullptr, nullptr, 0, threshold);
+  }
   CheckTarget(user, to);
-  return ExactMoveCells(user, to, cells, peek_load, peek_sum);
+  std::size_t cells[2];
+  int peek_load[2];
+  double peek_sum[2];
+  const std::size_t count =
+      ExactMoveCells(user, to, cells, peek_load, peek_sum);
+  return ScreenedPeek(cells, peek_load, peek_sum, count, threshold);
 }
 
-std::size_t IncrementalEvaluator::BoundedSwapCells(std::size_t u1,
-                                                   std::size_t u2,
-                                                   std::size_t* cells,
-                                                   int* peek_load,
-                                                   double* peek_sum) const {
+std::optional<IncrementalValues> IncrementalEvaluator::PeekSwapAbove(
+    std::size_t u1, std::size_t u2, double threshold) {
   CheckExact();
   CheckUser(u1);
   CheckUser(u2);
@@ -692,7 +694,7 @@ std::size_t IncrementalEvaluator::BoundedSwapCells(std::size_t u1,
   if (e1 == Assignment::kUnassigned || e2 == Assignment::kUnassigned) {
     throw std::invalid_argument("swap requires two assigned users");
   }
-  if (e1 == e2) return 0;
+  if (e1 == e2) return ScreenedPeek(nullptr, nullptr, nullptr, 0, threshold);
   const std::size_t x1 = static_cast<std::size_t>(e1);
   const std::size_t x2 = static_cast<std::size_t>(e2);
   const std::size_t num_ext = load_.size();
@@ -700,54 +702,10 @@ std::size_t IncrementalEvaluator::BoundedSwapCells(std::size_t u1,
       inv_rate_[u2 * num_ext + x1] <= 0.0) {
     throw std::invalid_argument("swap to unreachable extender");
   }
-  cells[0] = x1;
-  cells[1] = x2;
-  peek_load[0] = load_[x1];
-  peek_load[1] = load_[x2];
-  peek_sum[0] = CellSum(x1, u1, u2);
-  peek_sum[1] = CellSum(x2, u2, u1);
-  return 2;
-}
-
-double IncrementalEvaluator::MoveDemandBound(std::size_t user, int to) const {
-  std::size_t cells[2];
-  int peek_load[2];
-  double peek_sum[2];
-  const std::size_t count =
-      BoundedMoveCells(user, to, cells, peek_load, peek_sum);
-  return count == 0 ? demand_prefix_.back()
-                    : DemandBound(cells, peek_load, peek_sum, count);
-}
-
-double IncrementalEvaluator::SwapDemandBound(std::size_t u1,
-                                             std::size_t u2) const {
-  std::size_t cells[2];
-  int peek_load[2];
-  double peek_sum[2];
-  const std::size_t count =
-      BoundedSwapCells(u1, u2, cells, peek_load, peek_sum);
-  return count == 0 ? demand_prefix_.back()
-                    : DemandBound(cells, peek_load, peek_sum, count);
-}
-
-std::optional<IncrementalValues> IncrementalEvaluator::PeekMoveAbove(
-    std::size_t user, int to, double threshold) {
-  std::size_t cells[2];
-  int peek_load[2];
-  double peek_sum[2];
-  const std::size_t count =
-      BoundedMoveCells(user, to, cells, peek_load, peek_sum);
-  return ScreenedPeek(cells, peek_load, peek_sum, count, threshold);
-}
-
-std::optional<IncrementalValues> IncrementalEvaluator::PeekSwapAbove(
-    std::size_t u1, std::size_t u2, double threshold) {
-  std::size_t cells[2];
-  int peek_load[2];
-  double peek_sum[2];
-  const std::size_t count =
-      BoundedSwapCells(u1, u2, cells, peek_load, peek_sum);
-  return ScreenedPeek(cells, peek_load, peek_sum, count, threshold);
+  const std::size_t cells[2] = {x1, x2};
+  const int peek_load[2] = {load_[x1], load_[x2]};
+  const double peek_sum[2] = {CellSum(x1, u1, u2), CellSum(x2, u2, u1)};
+  return ScreenedPeek(cells, peek_load, peek_sum, 2, threshold);
 }
 
 std::optional<IncrementalValues> IncrementalEvaluator::ScreenedPeek(

@@ -31,10 +31,10 @@
 //     the aggregate summed by extender index. Every value it reports —
 //     aggregate_mbps(), peeks and UserThroughput() — is bit-identical to
 //     Evaluator::Evaluate of the same assignment. The contention domains
-//     come from Evaluator::ResolveWifiDomains. MoveDemandBound and
-//     SwapDemandBound bound a peek's aggregate from above without the
-//     O(E) airtime pass (see below), so a search can skip a move that
-//     cannot pass its acceptance test.
+//     come from Evaluator::ResolveWifiDomains. PeekMoveAbove and
+//     PeekSwapAbove bound a peek's aggregate from above without the O(E)
+//     airtime pass (see below), so a search can skip a move that cannot
+//     pass its acceptance test.
 //   * kReevaluate — some user carries a finite demand (demand-capped
 //     allocations couple users within a cell), or co-channel contention
 //     with log-utility tracking. Each move runs a full, allocation-free
@@ -126,28 +126,22 @@ class IncrementalEvaluator {
   // hypothetical move (PeekMove minus current values).
   IncrementalValues MoveDelta(std::size_t user, int to);
 
-  // kExact only (std::logic_error in any other regime): an upper bound on
-  // PeekMove(user, to).aggregate_mbps, or on PeekSwap(u1, u2)'s. It is the
-  // sum, in extender order, of the WiFi demand d_j = n_j / sum_j / peers_j
-  // of every active cell with a live backhaul under the hypothetical
-  // assignment, which is bit for bit the in-order sum of Evaluate's
-  // wifi_throughput_mbps over those cells. The aggregate sums
-  // min(d_j, t_j * c_j) over the same cells in the same order; each term is
-  // at most its d_j, and floating-point addition is monotone in each
-  // argument, so the bound holds exactly, with no margin: a move whose
-  // bound is <= an acceptance threshold cannot have a peek > it. Costs the
-  // touched cells' harmonic sums plus additions from the first cell whose
-  // demand the move changes (the committed demands before it are a prefix
-  // sum); a move that turns a cell active or idle changes the peer count,
-  // and with it the demand, of every cell in that contention domain.
-  // Throws like PeekMove / PeekSwap on bad arguments.
-  double MoveDemandBound(std::size_t user, int to) const;
-  double SwapDemandBound(std::size_t u1, std::size_t u2) const;
-
-  // kExact only: PeekMove(user, to) when MoveDemandBound(user, to) >
-  // threshold, and nullopt otherwise (the peek's aggregate could not
-  // exceed `threshold` then); likewise for swaps. The bound and the peek
-  // share the touched cells' harmonic sums.
+  // kExact only (std::logic_error in any other regime): PeekMove(user, to)
+  // or PeekSwap(u1, u2) when the move's demand bound exceeds `threshold`,
+  // and nullopt when it does not, since the peek's aggregate cannot exceed
+  // `threshold` then. The demand bound is the sum, in extender order, of
+  // the WiFi demand d_j = n_j / sum_j / peers_j of every active cell with a
+  // live backhaul under the hypothetical assignment: bit for bit the
+  // in-order sum of Evaluate's wifi_throughput_mbps over those cells. The
+  // aggregate sums min(d_j, t_j * c_j) over the same cells in the same
+  // order; each term is at most its d_j, and floating-point addition is
+  // monotone in each argument, so the bound holds exactly, with no margin.
+  // It costs the touched cells' harmonic sums, which the peek then reuses,
+  // plus additions from the first cell whose demand the move changes (the
+  // committed demands before it are a prefix sum); a move that turns a cell
+  // active or idle changes the peer count, and with it the demand, of every
+  // cell in that contention domain. Throws like PeekMove / PeekSwap on bad
+  // arguments.
   std::optional<IncrementalValues> PeekMoveAbove(std::size_t user, int to,
                                                  double threshold);
   std::optional<IncrementalValues> PeekSwapAbove(std::size_t u1,
@@ -196,13 +190,8 @@ class IncrementalEvaluator {
   // hypothetical loads and harmonic sums; returns how many (<= 2).
   std::size_t ExactMoveCells(std::size_t user, int to, std::size_t* cells,
                              int* peek_load, double* peek_sum) const;
-  // The bounds' argument checks, then the touched cells of the move or
-  // swap (0 when it changes nothing).
-  std::size_t BoundedMoveCells(std::size_t user, int to, std::size_t* cells,
-                               int* peek_load, double* peek_sum) const;
-  std::size_t BoundedSwapCells(std::size_t u1, std::size_t u2,
-                               std::size_t* cells, int* peek_load,
-                               double* peek_sum) const;
+  // kExact: PeekExact unless the demand bound is <= threshold; a move of
+  // no cells (count 0) changes nothing.
   std::optional<IncrementalValues> ScreenedPeek(const std::size_t* cells,
                                                 const int* peek_load,
                                                 const double* peek_sum,

@@ -546,8 +546,7 @@ TEST(IncrementalEvalCoChannel, DemandBoundDominatesEveryPeek) {
     const std::string where = "scenario " + std::to_string(scenario);
 
     // Every usable relocation (unassigns included) and swap. Each bound is
-    // read after the previous candidate's peek, which must not leak into
-    // it.
+    // read after other candidates' peeks, which must not leak into it.
     const auto check_every_move = [&](const std::string& step) {
       const std::vector<int> load = assign.LoadVector(net.NumExtenders());
       for (std::size_t u = 0; u < net.NumUsers(); ++u) {
@@ -569,18 +568,20 @@ TEST(IncrementalEvalCoChannel, DemandBoundDominatesEveryPeek) {
               (to >= 0 && load[static_cast<std::size_t>(to)] == 0)) {
             ++activity;
           }
-          const double bound = inc.MoveDemandBound(u, to);
-          EXPECT_EQ(bound,
-                    DemandSum(evaluator.Evaluate(net, moved, scratch), net))
-              << step << " move " << u << " -> " << to;
+          const std::string what =
+              step + " move " + std::to_string(u) + " -> " +
+              std::to_string(to);
+          const double bound =
+              DemandSum(evaluator.Evaluate(net, moved, scratch), net);
           const double peeked = inc.PeekMove(u, to).aggregate_mbps;
-          EXPECT_LE(peeked, bound) << step << " move " << u << " -> " << to;
-          // The screened peek cuts at the bound exactly.
-          EXPECT_FALSE(inc.PeekMoveAbove(u, to, bound));
+          EXPECT_LE(peeked, bound) << what;
+          // The screen cuts at exactly this bound: no peek at it, the
+          // peek one ULP below it.
+          EXPECT_FALSE(inc.PeekMoveAbove(u, to, bound)) << what;
           const auto above =
               inc.PeekMoveAbove(u, to, std::nextafter(bound, -1.0));
-          ASSERT_TRUE(above) << step << " move " << u << " -> " << to;
-          EXPECT_EQ(above->aggregate_mbps, peeked);
+          ASSERT_TRUE(above) << what;
+          EXPECT_EQ(above->aggregate_mbps, peeked) << what;
           ++relocations;
         }
       }
@@ -596,17 +597,18 @@ TEST(IncrementalEvalCoChannel, DemandBoundDominatesEveryPeek) {
           Assignment swapped = assign;
           swapped.Assign(u1, static_cast<std::size_t>(e2));
           swapped.Assign(u2, static_cast<std::size_t>(e1));
-          const double bound = inc.SwapDemandBound(u1, u2);
-          EXPECT_EQ(bound,
-                    DemandSum(evaluator.Evaluate(net, swapped, scratch), net))
-              << step << " swap " << u1 << " <-> " << u2;
+          const std::string what =
+              step + " swap " + std::to_string(u1) + " <-> " +
+              std::to_string(u2);
+          const double bound =
+              DemandSum(evaluator.Evaluate(net, swapped, scratch), net);
           const double peeked = inc.PeekSwap(u1, u2).aggregate_mbps;
-          EXPECT_LE(peeked, bound) << step << " swap " << u1 << " <-> " << u2;
-          EXPECT_FALSE(inc.PeekSwapAbove(u1, u2, bound));
+          EXPECT_LE(peeked, bound) << what;
+          EXPECT_FALSE(inc.PeekSwapAbove(u1, u2, bound)) << what;
           const auto above =
               inc.PeekSwapAbove(u1, u2, std::nextafter(bound, -1.0));
-          ASSERT_TRUE(above) << step << " swap " << u1 << " <-> " << u2;
-          EXPECT_EQ(above->aggregate_mbps, peeked);
+          ASSERT_TRUE(above) << what;
+          EXPECT_EQ(above->aggregate_mbps, peeked) << what;
           ++swaps;
         }
       }
@@ -636,7 +638,7 @@ TEST(IncrementalEvalCoChannel, DemandBoundDominatesEveryPeek) {
   EXPECT_GT(relocations - activity, 10000);
 }
 
-TEST(IncrementalEvalCoChannel, DemandBoundNeedsTheExactRegime) {
+TEST(IncrementalEvalCoChannel, ScreenedPeeksNeedTheExactRegime) {
   util::Rng rng(17);
   const ScenarioConfig cfg{10, 4, PlcSharing::kMaxMinActive, 1, false, false};
   const Network net = RandomNetwork(cfg, rng);
@@ -644,29 +646,21 @@ TEST(IncrementalEvalCoChannel, DemandBoundNeedsTheExactRegime) {
   EvalOptions contention;
   contention.wifi_contention_domain = {0, 0, 1, 1};
   for (const bool track_log : {false, true}) {
-    const IncrementalEvaluator inc(net, assign, track_log ? contention
-                                                          : EvalOptions{},
-                                   IncrementalEvaluator::kDefaultLogFloorMbps,
-                                   track_log);
+    IncrementalEvaluator inc(net, assign,
+                             track_log ? contention : EvalOptions{},
+                             IncrementalEvaluator::kDefaultLogFloorMbps,
+                             track_log);
     ASSERT_NE(inc.regime(), IncrementalEvaluator::Regime::kExact);
-    EXPECT_THROW(inc.MoveDemandBound(0, Assignment::kUnassigned),
+    EXPECT_THROW(inc.PeekMoveAbove(0, Assignment::kUnassigned, 0.0),
                  std::logic_error);
-    EXPECT_THROW(inc.SwapDemandBound(0, 1), std::logic_error);
-    IncrementalEvaluator peeking = inc;
-    EXPECT_THROW(peeking.PeekMoveAbove(0, Assignment::kUnassigned, 0.0),
-                 std::logic_error);
-    EXPECT_THROW(peeking.PeekSwapAbove(0, 1, 0.0), std::logic_error);
+    EXPECT_THROW(inc.PeekSwapAbove(0, 1, 0.0), std::logic_error);
   }
-  const IncrementalEvaluator exact(net, assign, contention,
-                                   IncrementalEvaluator::kDefaultLogFloorMbps,
-                                   /*track_log_utility=*/false);
-  EXPECT_THROW(exact.MoveDemandBound(net.NumUsers(), 0), std::invalid_argument);
-  EXPECT_THROW(exact.SwapDemandBound(0, net.NumUsers()),
+  IncrementalEvaluator exact(net, assign, contention,
+                             IncrementalEvaluator::kDefaultLogFloorMbps,
+                             /*track_log_utility=*/false);
+  EXPECT_THROW(exact.PeekMoveAbove(net.NumUsers(), 0, 0.0),
                std::invalid_argument);
-  IncrementalEvaluator peeking = exact;
-  EXPECT_THROW(peeking.PeekMoveAbove(net.NumUsers(), 0, 0.0),
-               std::invalid_argument);
-  EXPECT_THROW(peeking.PeekSwapAbove(0, net.NumUsers(), 0.0),
+  EXPECT_THROW(exact.PeekSwapAbove(0, net.NumUsers(), 0.0),
                std::invalid_argument);
 }
 

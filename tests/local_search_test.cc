@@ -481,8 +481,8 @@ TEST(CoChannelScreenTest, ScreenedSearchEqualsUnscreened) {
     if (!fresh) {
       std::vector<int> load(exts, 0);
       for (std::size_t i = 0; i < users; ++i) {
-        const std::size_t j =
-            static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(exts) - 1));
+        const std::size_t j = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<int>(exts) - 1));
         const int cap = net.MaxUsers(j);
         if (rng.Bernoulli(0.1) || net.WifiRate(i, j) <= 0.0 ||
             (cap > 0 && load[j] >= cap)) {
