@@ -166,7 +166,7 @@ struct WorkloadCounters {
   Counter& background_updates;  // contention-domain busy-share flips
   Counter& replay_events;       // trace events fed into a controller
   Counter& epochs;              // frontier reoptimization epochs
-  Counter& oracle_solves;       // per-epoch oracle evaluations
+  Counter& oracle_solves;       // frontier oracle solves (shared: once)
   Counter& oracle_exact;        // ...of which were exact brute force
   Counter& reassociations;      // sticky users redirected at a boundary
 };

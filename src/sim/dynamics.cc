@@ -107,10 +107,17 @@ std::vector<EpochStats> RunDynamicSimulation(
 // users may stay unassigned, which makes it a true upper bound on anything
 // the controller can commit) when the space fits; otherwise WOLT-S with
 // subset search solved from scratch — no stickiness, so it tracks the
-// per-epoch optimum instead of the previous plan.
+// per-epoch optimum instead of the previous plan. Counts itself, so a
+// shared oracle counts once, where it is solved.
 EpochOracle SolveFrontierOracle(const model::Network& snap,
                                 const FrontierParams& params) {
-  if (snap.NumUsers() == 0) return {0.0, true};
+  obs::MetricsScope* const scope = obs::CurrentScope();
+  if (scope != nullptr) scope->workload.oracle_solves.Add(1);
+  const auto exact = [scope](double mbps) {
+    if (scope != nullptr) scope->workload.oracle_exact.Add(1);
+    return EpochOracle{mbps, true};
+  };
+  if (snap.NumUsers() == 0) return exact(0.0);
   if (snap.NumUsers() <= params.oracle_bf_max_users) {
     const std::uint64_t arms =
         static_cast<std::uint64_t>(snap.NumExtenders()) + 1;  // + unassigned
@@ -128,7 +135,7 @@ EpochOracle SolveFrontierOracle(const model::Network& snap,
       bf.max_combinations = params.oracle_max_combinations;
       bf.allow_unassigned = true;
       bf.eval = params.eval;
-      return {assign::SolveBruteForce(snap, bf).best_aggregate_mbps, true};
+      return exact(assign::SolveBruteForce(snap, bf).best_aggregate_mbps);
     }
   }
   core::WoltOptions wolt;
@@ -291,10 +298,6 @@ FrontierResult RunTraceFrontier(const model::Network& base,
                                      : SolveFrontierOracle(snap, params);
       es.oracle_mbps = oracle.mbps;
       es.oracle_exact = oracle.exact;
-      if (obs::MetricsScope* s = obs::CurrentScope()) {
-        s->workload.oracle_solves.Add(1);
-        if (es.oracle_exact) s->workload.oracle_exact.Add(1);
-      }
       if (es.oracle_mbps > 0.0) {
         regret_sum +=
             std::max(0.0, (es.oracle_mbps - es.aggregate_mbps) / es.oracle_mbps);

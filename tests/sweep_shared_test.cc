@@ -366,9 +366,10 @@ TEST(SweepSharedTest, DynamicGridMatchesRederivation) {
   EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.reused"), 50u);
 #if WOLT_OBS_ENABLED
   EXPECT_EQ(CounterValue(one.metrics, "workload.traces"), 2u);
-  // Every task scores 3 epochs against an oracle, solved once per
-  // scenario epoch.
-  EXPECT_EQ(CounterValue(one.metrics, "workload.oracle.solves"), 36u);
+  // 12 tasks score 3 epochs each against 6 oracles, one per scenario
+  // epoch.
+  EXPECT_EQ(CounterValue(one.metrics, "workload.frontier.epochs"), 36u);
+  EXPECT_EQ(CounterValue(one.metrics, "workload.oracle.solves"), 6u);
 #endif
 }
 
@@ -404,6 +405,9 @@ TEST(SweepSharedTest, QuarantinedSnapshotsShareOracles) {
   // give 16 owners and 2 x (2 x 11 + 6 x 5) = 104 reusers.
   EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.computed"), 16u);
   EXPECT_EQ(CounterValue(one.metrics, "sweep.shared.reused"), 104u);
+#if WOLT_OBS_ENABLED
+  EXPECT_EQ(CounterValue(one.metrics, "workload.oracle.solves"), 12u);
+#endif
 
   // The quarantine trips, and it holds some snapshot's capacity at zero
   // where the replay without it would have restored the link.
