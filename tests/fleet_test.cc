@@ -3,7 +3,8 @@
 // shard supervisor (restart backoff, crash-loop circuit breaker, half-open
 // probes), and the sharded round loop itself (thread-count-invariant
 // reports, fault isolation of a poisoned shard, degraded hold-last-good,
-// virtual-budget reopt degradation through the PR 5 ladder).
+// virtual-budget reopt degradation through the PR 5 ladder), plus pins of
+// the journal's on-disk fingerprint and supervisor snapshot bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -432,6 +433,73 @@ TEST(FleetRuntime, FleetStateRoundTripsThroughSaveRestore) {
   FleetRuntime wrong(smaller, 99);
   util::ByteCursor cur2(blob);
   EXPECT_FALSE(wrong.RestoreState(&cur2));
+}
+
+// --- Journal format ------------------------------------------------------
+
+// The fleet journal's header carries Fingerprint and its snapshot records
+// carry Supervisor::SaveState bytes, so both are on-disk format: a journal
+// written by an older build must still resume. The pinned values were
+// computed before the supervisor's overrun tolerance was retired (native
+// byte order, as written on a little-endian host); neither involves
+// floating-point arithmetic, so every build preset reads the same bytes.
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xF]);
+  }
+  return out;
+}
+
+TEST(FleetJournalFormat, FingerprintIsPinned) {
+  EXPECT_EQ(Fingerprint(SmallFleet(12, 8), 0xF1EE7ULL),
+            0xBDAA6AB5D2504780ULL);
+}
+
+TEST(FleetJournalFormat, SupervisorSnapshotBytesArePinned) {
+  Supervisor sup(TestSupParams(), 2);
+  EXPECT_EQ(sup.ObserveFailures(1, 0, {Storm()}), SupervisorAction::kNone);
+  EXPECT_EQ(sup.ObserveFailures(0, 0, {Fatal()}), SupervisorAction::kNone);
+  EXPECT_EQ(sup.BeginRound(0, 1), SupervisorAction::kRestart);
+  EXPECT_EQ(sup.ObserveFailures(0, 1, {Fatal()}),
+            SupervisorAction::kCircuitBreak);
+  EXPECT_EQ(sup.BeginRound(0, 4), SupervisorAction::kProbe);
+  std::string blob;
+  sup.SaveState(&blob);
+  EXPECT_EQ(Hex(blob),
+            "0200000000000000"  // cells
+            // cell 0: on probation after a restart and a circuit break
+            "03"                // state
+            "00000000"          // consecutive storms
+            "00000000"          // reserved: the retired overrun count
+            "0200000000000000"  // backoff
+            "0100000000000000"  // restart_at
+            "0100000000000000"  // degraded_since
+            "0100000000000000"  // restart rounds: one,
+            "0100000000000000"  //   round 1
+            "0100000000000000"  // restarts
+            "0100000000000000"  // breaks
+            "0100000000000000"  // probes
+            // cell 1: healthy after one tolerated storm
+            "00"
+            "01000000"
+            "00000000"
+            "0100000000000000"
+            "0000000000000000"
+            "0000000000000000"
+            "0000000000000000"
+            "0000000000000000"
+            "0000000000000000"
+            "0000000000000000");
+
+  Supervisor restored(TestSupParams(), 2);
+  util::ByteCursor cur(blob);
+  ASSERT_TRUE(restored.RestoreState(&cur));
+  EXPECT_TRUE(cur.AtEnd());
+  EXPECT_EQ(restored.state(0), ShardState::kProbation);
 }
 
 }  // namespace
