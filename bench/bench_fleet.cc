@@ -1,9 +1,9 @@
 // Fleet-runtime microbenchmarks (google-benchmark): sustained control-plane
 // message throughput of the sharded round loop at increasing fleet sizes and
-// thread counts, the wall-clock budgeted reoptimization path (the PR 5
-// ladder under a real deadline), and crash-recovery latency (journal replay
-// + state restore). --benchmark_format=json prints a machine-readable run;
-// the repository's benchmark record is perfbench/.
+// thread counts (reoptimization priced in virtual TierCost units), and
+// crash-recovery latency (journal replay + state restore).
+// --benchmark_format=json prints a machine-readable run; the repository's
+// benchmark record is perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -74,35 +74,6 @@ BENCHMARK(BM_FleetRound)
     ->Args({256, 1})
     ->Args({256, 8})
     ->Args({1024, 8})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The bench-only wall-clock reopt path: every shard reoptimizes under a
-// real deadline each round and the ladder absorbs the misses. Overrun count
-// is surfaced so budget regressions show up as a counter, not just time.
-void BM_FleetWallClockReopt(benchmark::State& state) {
-  const std::size_t shards = 64;
-  constexpr std::uint64_t kRounds = 4;
-  std::uint64_t overruns = 0;
-  for (auto _ : state) {
-    fleet::FleetParams p = BenchParams(shards, kRounds, 8);
-    p.reopt_units_per_round = 0;
-    p.reopt_wall_budget_seconds =
-        static_cast<double>(state.range(0)) * 1e-6;
-    fleet::FleetRuntime fleet(p, 0xBE7CF1EE7ULL);
-    const fleet::FleetResult result = fleet.Run();
-    for (const recover::ShardRoundRecord& r : result.shard_records) {
-      if (r.tier > 0) ++overruns;  // a degraded rung served the epoch
-    }
-    benchmark::DoNotOptimize(result.shard_records.data());
-  }
-  state.counters["degraded_epochs"] =
-      static_cast<double>(overruns) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_FleetWallClockReopt)
-    ->ArgName("budget_us")
-    ->Arg(50)
-    ->Arg(500)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

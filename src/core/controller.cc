@@ -17,7 +17,6 @@
 #include "core/wolt.h"
 #include "obs/obs.h"
 #include "util/codec.h"
-#include "util/deadline.h"
 
 namespace wolt::core {
 namespace {
@@ -722,8 +721,8 @@ std::vector<AssociationDirective> CentralController::Reoptimize() {
 }
 
 model::Assignment CentralController::SolveTier(
-    ReoptTier tier, const util::Deadline* deadline,
-    const model::Assignment& before, const model::Assignment& evacuate) {
+    ReoptTier tier, const model::Assignment& before,
+    const model::Assignment& evacuate) {
   AssociationPolicy* solver = nullptr;
   switch (tier) {
     case ReoptTier::kFull: solver = policy_.get(); break;
@@ -734,58 +733,8 @@ model::Assignment CentralController::SolveTier(
   if (solver == nullptr) return evacuate;
   // Greedy re-places only the evacuated users, everyone else holds; the
   // other rungs re-solve from the current assignment.
-  solver->SetDeadline(deadline);
-  model::Assignment proposed =
-      solver->Associate(net_, tier == ReoptTier::kGreedy ? evacuate : before);
-  solver->SetDeadline(nullptr);  // the token dies with this frame
-  return proposed;
-}
-
-ReoptReport CentralController::Reoptimize(double budget_seconds) {
-  if (obs::MetricsScope* s = obs::CurrentScope()) {
-    s->ctrl.policy_runs.Add(1);
-  }
-  ReoptReport report;
-  const util::Deadline deadline = util::Deadline::After(budget_seconds);
-  const model::Assignment before = assignment_;
-  const model::Assignment evacuate = EvacuationFallback();
-
-  // Degradation ladder, cheapest rung first so that something deployable
-  // exists the moment the budget dies. Each rung starts only while budget
-  // remains and serves only if it finished within budget; inside a rung the
-  // solvers poll the deadline per bounded unit of work, so the overrun past
-  // `budget_seconds` is at most one such unit.
-  model::Assignment chosen = evacuate;
-  report.tier = ReoptTier::kHoldLastGood;
-  for (ReoptTier tier : {ReoptTier::kGreedy, ReoptTier::kHungarianOnly,
-                         ReoptTier::kFull}) {
-    if (deadline.Expired()) break;
-    model::Assignment proposed = SolveTier(tier, &deadline, before, evacuate);
-    if (!deadline.Expired()) {
-      chosen = std::move(proposed);
-      report.tier = tier;
-    }
-  }
-
-  // budget_limited reflects the ladder outcome; the guard below can still
-  // demote the serving tier on quality grounds, which is not a budget event.
-  report.budget_limited = report.tier != ReoptTier::kFull;
-  const bool no_tier_fit = report.tier == ReoptTier::kHoldLastGood;
-
-  // Same do-no-harm contract as Reoptimize(): never deploy below the
-  // hold-last-good baseline.
-  if (GuardTrips(chosen, evacuate)) {
-    chosen = evacuate;
-    report.tier = ReoptTier::kHoldLastGood;
-  }
-
-  CountServedTier(report.tier);
-  if (obs::MetricsScope* s = obs::CurrentScope(); s && no_tier_fit) {
-    s->ctrl.reopt_budget_overruns.Add(1);
-  }
-
-  report.directives = DiffAndRegister(before, std::move(chosen));
-  return report;
+  return solver->Associate(net_,
+                           tier == ReoptTier::kGreedy ? evacuate : before);
 }
 
 ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
@@ -807,7 +756,7 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
   for (ReoptTier tier : {ReoptTier::kGreedy, ReoptTier::kHungarianOnly,
                          ReoptTier::kFull}) {
     if (TierCost(tier) > TierCost(top)) break;
-    model::Assignment proposed = SolveTier(tier, nullptr, before, evacuate);
+    model::Assignment proposed = SolveTier(tier, before, evacuate);
     const double score = eval.AggregateThroughput(net_, proposed);
     if (score > best + 1e-9) {
       best = score;
@@ -815,7 +764,6 @@ ReoptReport CentralController::ReoptimizeUpToTier(ReoptTier top) {
       report.tier = tier;
     }
   }
-  report.budget_limited = TierCost(top) < TierCost(ReoptTier::kFull);
 
   CountServedTier(report.tier);
 
@@ -831,14 +779,13 @@ ReoptReport CentralController::ReoptimizeAtTier(ReoptTier tier) {
   report.tier = tier;
   const model::Assignment before = assignment_;
   const model::Assignment evacuate = EvacuationFallback();
-  model::Assignment chosen = SolveTier(tier, nullptr, before, evacuate);
+  model::Assignment chosen = SolveTier(tier, before, evacuate);
 
-  // Same do-no-harm contract as the budgeted ladder.
+  // Do no harm: never deploy below the hold-last-good baseline.
   if (GuardTrips(chosen, evacuate)) {
     chosen = evacuate;
     report.tier = ReoptTier::kHoldLastGood;
   }
-  report.budget_limited = report.tier != ReoptTier::kFull;
 
   CountServedTier(report.tier);
 

@@ -37,7 +37,6 @@
 
 namespace wolt::util {
 class ByteCursor;
-class Deadline;
 }  // namespace wolt::util
 
 namespace wolt::core {
@@ -157,12 +156,11 @@ struct RetryParams {
   int max_attempts = 5;
 };
 
-// The four rungs of the anytime degradation ladder, ordered cheapest-last.
-// Every reoptimization epoch reports the rung that served it and counts it
-// in ctrl.reopt.tier.*: the budgeted ladder (Reoptimize(budget_seconds))
-// runs bottom-up and keeps the best tier that completed within the
-// wall-clock budget, ReoptimizeAtTier runs one rung (Reoptimize() is
+// The four rungs of the degradation ladder, ordered cheapest-last. Every
+// reoptimization epoch reports the rung that served it and counts it in
+// ctrl.reopt.tier.*: ReoptimizeAtTier runs one rung (Reoptimize() is
 // kFull), and ReoptimizeUpToTier keeps the best-scoring affordable rung.
+// Callers price the rungs in TierCost units, never in wall clock.
 // New tiers append at the end: the value is journal-encoded by the fleet
 // runtime, so reordering would corrupt old journals.
 enum class ReoptTier {
@@ -173,22 +171,20 @@ enum class ReoptTier {
 };
 const char* ToString(ReoptTier t);
 
-// Virtual-unit cost of one reoptimization at each ladder rung — the
-// deterministic budget currency shared by the fleet scheduler and the
-// workload frontier sweeps (wall-clock budgets are not reproducible across
-// hosts, so budgeted-but-deterministic paths price tiers in these units).
+// Virtual-unit cost of one reoptimization at each ladder rung — the one
+// budget currency of the ladder, shared by the fleet scheduler and the
+// workload frontier sweeps. Units, unlike wall clock, price a rung the same
+// on every host, so a budgeted epoch is a pure function of controller
+// state.
 std::size_t TierCost(ReoptTier tier);
 
 // The best rung affordable with `units` budget units: the most expensive
 // tier whose TierCost fits. units <= 0 means unbudgeted — the full solve.
 ReoptTier TierForBudgetUnits(int units);
 
-// Outcome of one budgeted reoptimization epoch.
+// Outcome of one reoptimization epoch.
 struct ReoptReport {
   ReoptTier tier = ReoptTier::kFull;  // the rung that served this epoch
-  // True when the budget expired before the full policy finished — i.e. a
-  // degraded tier (or hold-last-good) served the epoch.
-  bool budget_limited = false;
   std::vector<AssociationDirective> directives;
 };
 
@@ -268,27 +264,12 @@ class CentralController {
   // do-no-harm guard included.
   std::vector<AssociationDirective> Reoptimize();
 
-  // Deadline-bounded epoch reoptimization: spend at most `budget_seconds`
-  // of wall clock and always return a valid assignment. The degradation
-  // ladder runs cheapest-first — hold-last-good (with dead-backhaul users
-  // evacuated), greedy re-insertion, WOLT Phase I + sticky Phase II, then
-  // the full configured policy — and each rung only starts while budget
-  // remains and only serves if it finished within budget. Inside a rung the
-  // deadline token is threaded into the solvers, which poll it per bounded
-  // unit of work, so overrun past the budget is at most one such unit. The
-  // do-no-harm guard of Reoptimize() applies to the final selection. A
-  // non-positive budget degenerates to hold-last-good. A generous budget
-  // (one the full policy fits in) produces exactly Reoptimize()'s result.
-  ReoptReport Reoptimize(double budget_seconds);
-
-  // Clock-free epoch reoptimization at one explicit ladder rung. This is the
-  // deterministic sibling of Reoptimize(budget_seconds): the fleet runtime's
-  // virtual-budget scheduler picks the tier, so the outcome is a pure
-  // function of controller state (no wall clock involved), which is what
-  // makes fleet runs byte-identical across thread counts and across
+  // Clock-free epoch reoptimization at one explicit ladder rung: the fleet
+  // runtime's virtual-budget scheduler picks the tier, so the outcome is a
+  // pure function of controller state (no wall clock involved), which is
+  // what makes fleet runs byte-identical across thread counts and across
   // crash/resume. The do-no-harm guard still applies, so the report's tier
-  // can demote to kHoldLastGood on quality grounds; budget_limited is true
-  // iff a tier below kFull was requested or the guard demoted.
+  // can demote to kHoldLastGood on quality grounds.
   ReoptReport ReoptimizeAtTier(ReoptTier tier);
 
   // Clock-free cumulative ladder: solve every rung whose TierCost fits
@@ -372,10 +353,8 @@ class CentralController {
   HandleStatus ValidateScan(const ScanReport& report) const;
   void ApplyReport(std::size_t index, const ScanReport& report);
   // One rung of the degradation ladder: propose an assignment at `tier`
-  // with that rung's solver, threading `deadline` (nullable) into it.
-  // Shared by every reoptimization entry point.
-  model::Assignment SolveTier(ReoptTier tier, const util::Deadline* deadline,
-                              const model::Assignment& before,
+  // with that rung's solver. Shared by every reoptimization entry point.
+  model::Assignment SolveTier(ReoptTier tier, const model::Assignment& before,
                               const model::Assignment& evacuate);
   // Do-no-harm check: true, counting ctrl.reopt.guard_trips, when
   // `candidate` scores below the hold-last-good `baseline`; the caller then

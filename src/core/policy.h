@@ -37,12 +37,13 @@ class AssociationPolicy {
   // controller solve on every scan.
   virtual bool RatesOnlyFixedPoint() const { return false; }
 
-  // Anytime control plane (the controller's per-epoch budget): while a
-  // deadline is set, deadline-aware policies (WOLT) poll it inside their
-  // solvers and return a best-so-far valid assignment on expiry; policies
-  // that are intrinsically fast (Greedy, RSSI) may ignore it. Null (the
-  // default) or an unexpired token leave behavior bit-identical to the
-  // unbudgeted path. The pointer must stay valid across Associate calls.
+  // Anytime solving (the caller's budget): while a deadline is set,
+  // deadline-aware policies (WOLT) poll it inside their solvers and return
+  // a best-so-far valid assignment on expiry; policies that are
+  // intrinsically fast (Greedy, RSSI) may ignore it. Null (the default) or
+  // an unexpired token leave behavior bit-identical to the unbudgeted path.
+  // The pointer must stay valid across Associate calls. The controller's
+  // ladder never sets one: it prices its rungs in TierCost units.
   void SetDeadline(const util::Deadline* deadline) { deadline_ = deadline; }
   const util::Deadline* deadline() const { return deadline_; }
 

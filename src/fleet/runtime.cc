@@ -81,7 +81,7 @@ std::uint64_t Fingerprint(const FleetParams& p, std::uint64_t seed) {
 
   const SupervisorParams& sup = p.supervisor;
   h = HashU64(h, static_cast<std::uint64_t>(sup.storm_tolerance));
-  h = HashU64(h, static_cast<std::uint64_t>(sup.overrun_tolerance));
+  h = HashU64(h, 2);  // retired SupervisorParams::overrun_tolerance (default)
   h = HashU64(h, sup.backoff_initial);
   h = HashDouble(h, sup.backoff_multiplier);
   h = HashU64(h, sup.backoff_max);
@@ -230,14 +230,6 @@ ShardParams FleetRuntime::ShardParamsFor(std::uint32_t shard) const {
 
 FleetResult FleetRuntime::Run() {
   FleetResult result;
-  if (params_.reopt_wall_budget_seconds > 0.0 &&
-      !params_.journal_path.empty()) {
-    result.error =
-        "wall-clock reopt budgets are non-deterministic and cannot be "
-        "journaled";
-    return result;
-  }
-
   std::uint64_t start_round = 0;
   std::unique_ptr<recover::FleetJournalWriter> journal;
   if (!params_.journal_path.empty()) {
@@ -336,7 +328,6 @@ void FleetRuntime::RunRound(std::uint64_t round, util::ThreadPool& pool,
                             FleetResult* result) {
   const std::size_t n = params_.num_shards;
   const bool chaos = round >= params_.chaos_from && round < params_.chaos_to;
-  const bool wall_mode = params_.reopt_wall_budget_seconds > 0.0;
   std::vector<PerShardScratch> scratch(n);
 
   // (a) Supervisor round-driven transitions: due restarts and probes.
@@ -379,8 +370,8 @@ void FleetRuntime::RunRound(std::uint64_t round, util::ThreadPool& pool,
   }
 
   // (d) Virtual-budget reopt scheduling: staleness-priority walk spending
-  // units down the degradation ladder. Wall mode schedules every live shard
-  // (the shard spends the wall budget itself).
+  // units down the degradation ladder. An unbudgeted fleet walks with
+  // enough units for every live shard to get kFull.
   std::uint64_t reopt_scheduled = 0;
   std::uint64_t reopt_units = 0;
   {
@@ -388,42 +379,35 @@ void FleetRuntime::RunRound(std::uint64_t round, util::ThreadPool& pool,
     for (std::size_t s = 0; s < n; ++s) {
       if (scratch[s].live) candidates.push_back(s);
     }
-    if (wall_mode || params_.reopt_units_per_round == 0) {
-      for (std::size_t s : candidates) {
-        scratch[s].scheduled = true;
-        scratch[s].tier = core::ReoptTier::kFull;
-        last_reopt_round_[s] = round;
-        ++reopt_scheduled;
-        reopt_units += TierCost(core::ReoptTier::kFull);
-      }
-    } else {
-      std::sort(candidates.begin(), candidates.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const std::uint64_t stale_a = round - last_reopt_round_[a];
-                  const std::uint64_t stale_b = round - last_reopt_round_[b];
-                  if (stale_a != stale_b) return stale_a > stale_b;
-                  const std::size_t back_a =
-                      queue_->DepthOf(static_cast<std::uint32_t>(a));
-                  const std::size_t back_b =
-                      queue_->DepthOf(static_cast<std::uint32_t>(b));
-                  if (back_a != back_b) return back_a > back_b;
-                  return a < b;
-                });
-      std::size_t units = params_.reopt_units_per_round;
-      for (std::size_t s : candidates) {
-        // Budget exhausted: remaining shards wait, growing staler.
-        if (units == 0) break;
-        // The best rung the remaining units buy; the clamp only keeps the
-        // int argument in range, since no rung costs more than kFull.
-        const core::ReoptTier tier = core::TierForBudgetUnits(static_cast<int>(
-            std::min(units, TierCost(core::ReoptTier::kFull))));
-        units -= TierCost(tier);
-        scratch[s].scheduled = true;
-        scratch[s].tier = tier;
-        last_reopt_round_[s] = round;
-        ++reopt_scheduled;
-        reopt_units += TierCost(tier);
-      }
+    std::sort(candidates.begin(), candidates.end(),
+              [&](std::size_t a, std::size_t b) {
+                const std::uint64_t stale_a = round - last_reopt_round_[a];
+                const std::uint64_t stale_b = round - last_reopt_round_[b];
+                if (stale_a != stale_b) return stale_a > stale_b;
+                const std::size_t back_a =
+                    queue_->DepthOf(static_cast<std::uint32_t>(a));
+                const std::size_t back_b =
+                    queue_->DepthOf(static_cast<std::uint32_t>(b));
+                if (back_a != back_b) return back_a > back_b;
+                return a < b;
+              });
+    std::size_t units =
+        params_.reopt_units_per_round > 0
+            ? params_.reopt_units_per_round
+            : candidates.size() * TierCost(core::ReoptTier::kFull);
+    for (std::size_t s : candidates) {
+      // Budget exhausted: remaining shards wait, growing staler.
+      if (units == 0) break;
+      // The best rung the remaining units buy; the clamp only keeps the
+      // int argument in range, since no rung costs more than kFull.
+      const core::ReoptTier tier = core::TierForBudgetUnits(static_cast<int>(
+          std::min(units, TierCost(core::ReoptTier::kFull))));
+      units -= TierCost(tier);
+      scratch[s].scheduled = true;
+      scratch[s].tier = tier;
+      last_reopt_round_[s] = round;
+      ++reopt_scheduled;
+      reopt_units += TierCost(tier);
     }
   }
   if (obs::MetricsScope* ms = obs::CurrentScope()) {
@@ -441,9 +425,7 @@ void FleetRuntime::RunRound(std::uint64_t round, util::ThreadPool& pool,
       scratch[s].out = shards_[s]->ProcessBatch(round, chaos, scratch[s].batch);
       if (scratch[s].scheduled) {
         scratch[s].reopt =
-            wall_mode ? shards_[s]->ReoptimizeBudget(
-                            round, params_.reopt_wall_budget_seconds)
-                      : shards_[s]->Reoptimize(round, chaos, scratch[s].tier);
+            shards_[s]->Reoptimize(round, chaos, scratch[s].tier);
       }
     });
   }
@@ -454,13 +436,6 @@ void FleetRuntime::RunRound(std::uint64_t round, util::ThreadPool& pool,
     std::vector<FailureEvent> failures = scratch[s].out.failures;
     failures.insert(failures.end(), scratch[s].reopt.failures.begin(),
                     scratch[s].reopt.failures.end());
-    if (obs::MetricsScope* ms = obs::CurrentScope()) {
-      for (const FailureEvent& f : failures) {
-        if (f.kind == FailureKind::kReoptOverrun) {
-          ms->fleet.reopt_overruns.Add(1);
-        }
-      }
-    }
     switch (supervisor_->ObserveFailures(s, round, failures)) {
       case SupervisorAction::kCircuitBreak:
         scratch[s].broke = true;

@@ -24,11 +24,11 @@
 // and identical across SIGKILL + resume — the property the crash soak and
 // the ci.sh kill-and-resume smoke assert.
 //
-// The reoptimize scheduler spends a *virtual* unit budget (not wall clock)
-// across shards by staleness priority, mapping leftover budget onto the
-// PR 5 degradation ladder: kFull costs 4 units, kHungarianOnly 3, kGreedy 2,
-// kHoldLastGood 1. Wall-clock budgets (ShardRuntime::ReoptimizeBudget) are
-// reserved for the latency bench, which is exempt from byte-compares.
+// The reoptimize scheduler spends a *virtual* unit budget (core::TierCost,
+// never wall clock) across shards by staleness priority, mapping leftover
+// budget onto the degradation ladder: kFull costs 4 units, kHungarianOnly 3,
+// kGreedy 2, kHoldLastGood 1. An unbudgeted fleet takes the same walk with
+// enough units for every live shard to get kFull.
 #pragma once
 
 #include <atomic>
@@ -79,9 +79,6 @@ struct FleetParams {
   // Virtual reopt budget per round (see file comment); 0 = every live shard
   // reoptimizes at kFull every round.
   std::size_t reopt_units_per_round = 0;
-  // Bench-only: >0 switches to wall-clock budgeted reoptimization per shard
-  // (PR 5 ladder). Non-deterministic; incompatible with journaling.
-  double reopt_wall_budget_seconds = 0.0;
 
   // Crash-safe journal; empty = no journal. `resume` replays the journal's
   // last snapshot and continues; an unreadable journal restarts the run

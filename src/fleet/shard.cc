@@ -321,29 +321,6 @@ ReoptOutcome ShardRuntime::Reoptimize(std::uint64_t round, bool chaos,
   return ro;
 }
 
-ReoptOutcome ShardRuntime::ReoptimizeBudget(std::uint64_t round,
-                                            double budget_seconds) {
-  ReoptOutcome ro;
-  try {
-    cc_->AdvanceTime(static_cast<double>(round) * params_.round_dt);
-    core::ReoptReport report = cc_->Reoptimize(budget_seconds);
-    ro.ran = true;
-    ro.tier = report.tier;
-    if (report.budget_limited) {
-      ro.failures.push_back(FailureEvent{FailureKind::kReoptOverrun,
-                                         core::ErrorCategory::kNone,
-                                         "reopt budget overrun"});
-    }
-    DeliverDirectives(report.directives, /*wire=*/nullptr, &ro.directives,
-                      &ro.outbound);
-  } catch (const std::exception& e) {
-    ro.failures.push_back(FailureEvent{
-        FailureKind::kException, core::ErrorCategory::kProgrammingError,
-        e.what()});
-  }
-  return ro;
-}
-
 void ShardRuntime::Restart(std::uint64_t round) {
   cc_ = MakeController();
   cc_->AdvanceTime(static_cast<double>(round) * params_.round_dt);

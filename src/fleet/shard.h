@@ -126,10 +126,6 @@ class ShardRuntime {
   ReoptOutcome Reoptimize(std::uint64_t round, bool chaos,
                           core::ReoptTier tier);
 
-  // Bench-only sibling: wall-clock budgeted reoptimization (the PR 5
-  // ladder). Non-deterministic by nature — excluded from byte-compares.
-  ReoptOutcome ReoptimizeBudget(std::uint64_t round, double budget_seconds);
-
   // Supervisor-ordered restart: discard the (presumed wedged) controller and
   // start a fresh one at the current controller time. Clients keep their
   // last applied directives — restart loses controller state, not the

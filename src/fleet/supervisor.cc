@@ -30,8 +30,6 @@ const char* ToString(FailureKind k) {
       return "exception";
     case FailureKind::kInvariant:
       return "invariant";
-    case FailureKind::kReoptOverrun:
-      return "reopt-overrun";
   }
   return "?";
 }
@@ -77,7 +75,6 @@ void Supervisor::Park(Cell& cell, std::uint64_t round) {
   cell.state = ShardState::kDegraded;
   cell.degraded_since = round;
   cell.consecutive_storms = 0;
-  cell.consecutive_overruns = 0;
   ++cell.breaks;
   if (obs::MetricsScope* s = obs::CurrentScope()) {
     s->fleet.circuit_breaks.Add(1);
@@ -95,11 +92,9 @@ SupervisorAction Supervisor::ObserveFailures(
 
   bool fatal = false;
   bool storm = false;
-  bool overrun = false;
   for (const FailureEvent& f : failures) {
     if (f.category == core::ErrorCategory::kProgrammingError) fatal = true;
     if (f.kind == FailureKind::kDecodeStorm) storm = true;
-    if (f.kind == FailureKind::kReoptOverrun) overrun = true;
   }
 
   if (cell.state == ShardState::kProbation) {
@@ -110,24 +105,20 @@ SupervisorAction Supervisor::ObserveFailures(
     }
     cell.state = ShardState::kHealthy;
     cell.consecutive_storms = 0;
-    cell.consecutive_overruns = 0;
     cell.backoff = params_.backoff_initial;
     cell.restart_rounds.clear();
     return SupervisorAction::kRecover;
   }
 
-  // Healthy. Sustained-pressure counters only advance while healthy; any
-  // clean round resets them.
+  // Healthy. The storm counter only advances while healthy; any clean
+  // round resets it.
   cell.consecutive_storms = storm ? cell.consecutive_storms + 1 : 0;
-  cell.consecutive_overruns = overrun ? cell.consecutive_overruns + 1 : 0;
 
   const bool want_restart =
-      fatal || cell.consecutive_storms > params_.storm_tolerance ||
-      cell.consecutive_overruns > params_.overrun_tolerance;
+      fatal || cell.consecutive_storms > params_.storm_tolerance;
   if (!want_restart) return SupervisorAction::kNone;
 
   cell.consecutive_storms = 0;
-  cell.consecutive_overruns = 0;
 
   // Crash-loop breaker: count executed restarts inside the sliding window;
   // if ordering one more would cross the threshold, park instead.
@@ -177,7 +168,7 @@ void Supervisor::SaveState(std::string* out) const {
   for (const Cell& c : cells_) {
     util::PutU8(out, static_cast<std::uint8_t>(c.state));
     util::PutI32(out, c.consecutive_storms);
-    util::PutI32(out, c.consecutive_overruns);
+    util::PutI32(out, 0);  // retired Cell::consecutive_overruns
     util::PutU64(out, c.backoff);
     util::PutU64(out, c.restart_at);
     util::PutU64(out, c.degraded_since);
@@ -195,7 +186,7 @@ bool Supervisor::RestoreState(util::ByteCursor* cur) {
   for (Cell& c : cells) {
     const std::uint8_t state = cur->U8();
     c.consecutive_storms = cur->I32();
-    c.consecutive_overruns = cur->I32();
+    cur->I32();  // retired Cell::consecutive_overruns
     c.backoff = cur->U64();
     c.restart_at = cur->U64();
     c.degraded_since = cur->U64();

@@ -47,7 +47,6 @@ enum class FailureKind {
   kDecodeStorm = 0,  // undecodable-message count crossed the storm threshold
   kException,        // an exception crossed the shard's total boundary
   kInvariant,        // cross-shard/state invariant violated
-  kReoptOverrun,     // reoptimization blew its wall-clock budget
 };
 const char* ToString(FailureKind k);
 
@@ -60,8 +59,6 @@ struct FailureEvent {
 struct SupervisorParams {
   // Consecutive decode-storm rounds tolerated before a restart is ordered.
   int storm_tolerance = 1;
-  // Consecutive reopt-overrun rounds tolerated before a restart is ordered.
-  int overrun_tolerance = 2;
   // Restart backoff in rounds: first restart waits `backoff_initial`,
   // doubling (by `backoff_multiplier`) per subsequent restart, capped at
   // `backoff_max`. A recovery (clean probation round) resets it.
@@ -123,7 +120,6 @@ class Supervisor {
   struct Cell {
     ShardState state = ShardState::kHealthy;
     int consecutive_storms = 0;
-    int consecutive_overruns = 0;
     std::uint64_t backoff = 0;      // current backoff length (rounds)
     std::uint64_t restart_at = 0;   // kBackoff: round the restart executes
     std::uint64_t degraded_since = 0;

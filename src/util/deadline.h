@@ -1,4 +1,7 @@
-// Cooperative wall-clock budget token for the anytime control plane.
+// Cooperative wall-clock budget token for anytime solves. The caller that
+// wants a time bound on one solve sets it (AssociationPolicy::SetDeadline,
+// JointOptions::deadline); the controller's degradation ladder does not,
+// since it prices its rungs in clock-free TierCost units.
 //
 // A Deadline is threaded by pointer through the assign/ solvers (Hungarian,
 // Phase-II local search, NLP); each solver polls Expired() at the boundary

@@ -433,7 +433,7 @@ TEST(ReoptTierTest, FullTierMatchesUnbudgetedReoptimize) {
   CentralController b = build();
   a.Reoptimize();
   const ReoptReport report = b.ReoptimizeAtTier(ReoptTier::kFull);
-  EXPECT_FALSE(report.budget_limited);
+  EXPECT_EQ(report.tier, ReoptTier::kFull);
   EXPECT_NEAR(a.CurrentAggregate(), b.CurrentAggregate(), 1e-12);
   for (const std::int64_t id : a.UserIds()) {
     EXPECT_EQ(a.ExtenderOf(id), b.ExtenderOf(id)) << "user " << id;
@@ -441,7 +441,7 @@ TEST(ReoptTierTest, FullTierMatchesUnbudgetedReoptimize) {
 }
 
 TEST(ReoptTierTest, DegradedTiersNeverHarmTheAggregate) {
-  // Every rung below kFull reports budget_limited and, thanks to the
+  // Every rung below kFull reports a tier below kFull and, thanks to the
   // do-no-harm guard, never lands below the pre-reopt aggregate.
   for (const ReoptTier tier :
        {ReoptTier::kHungarianOnly, ReoptTier::kGreedy,
@@ -453,7 +453,7 @@ TEST(ReoptTierTest, DegradedTiersNeverHarmTheAggregate) {
     cc.HandleUserArrival({102, {40.0, 20.0}, {}, {}, {}});
     const double before = cc.CurrentAggregate();
     const ReoptReport report = cc.ReoptimizeAtTier(tier);
-    EXPECT_TRUE(report.budget_limited) << ToString(tier);
+    EXPECT_NE(report.tier, ReoptTier::kFull) << ToString(tier);
     EXPECT_GE(cc.CurrentAggregate(), before - 1e-12) << ToString(tier);
   }
 }
