@@ -56,8 +56,6 @@ ControllerCounters::ControllerCounters(MetricsRegistry& r)
       reopt_tier_hungarian(r.GetCounter("ctrl.reopt.tier.hungarian")),
       reopt_tier_greedy(r.GetCounter("ctrl.reopt.tier.greedy")),
       reopt_tier_hold(r.GetCounter("ctrl.reopt.tier.hold")),
-      reopt_tier_joint(r.GetCounter("ctrl.reopt.tier.joint")),
-      reopt_budget_overruns(r.GetCounter("ctrl.reopt.budget_overruns")),
       quarantine_trips(r.GetCounter("ctrl.quarantine.trips")),
       quarantine_releases(r.GetCounter("ctrl.quarantine.releases")) {}
 
@@ -83,8 +81,7 @@ FleetCounters::FleetCounters(MetricsRegistry& r)
       restarts(r.GetCounter("fleet.supervisor.restarts")),
       circuit_breaks(r.GetCounter("fleet.supervisor.circuit_breaks")),
       probes(r.GetCounter("fleet.supervisor.probes")),
-      reopt_scheduled(r.GetCounter("fleet.reopt.scheduled")),
-      reopt_overruns(r.GetCounter("fleet.reopt.overruns")) {}
+      reopt_scheduled(r.GetCounter("fleet.reopt.scheduled")) {}
 
 WorkloadCounters::WorkloadCounters(MetricsRegistry& r)
     : traces(r.GetCounter("workload.traces")),
@@ -122,9 +119,7 @@ LogCounters::LogCounters(MetricsRegistry& r, std::string_view prefix)
       torn_tail(r.GetCounter(std::string(prefix) + ".torn_tail")) {}
 
 RecoverCounters::RecoverCounters(MetricsRegistry& r)
-    : journal(r, "recover.journal"),
-      journal_compact_failed(r.GetCounter("recover.journal.compact_failed")),
-      fleet(r, "recover.fleet") {}
+    : journal(r, "recover.journal"), fleet(r, "recover.fleet") {}
 
 }  // namespace wolt::obs
 

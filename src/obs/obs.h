@@ -106,15 +106,11 @@ struct ControllerCounters {
   // Scan updates served without a policy run: the policy declared itself a
   // fixed point of rate-only inputs and none of them changed.
   Counter& scans_skipped;
-  // Anytime degradation ladder: which tier served each reoptimization epoch.
-  Counter& reopt_tier_full;      // full policy fit the budget
+  // Degradation ladder: which tier served each reoptimization epoch.
+  Counter& reopt_tier_full;      // full policy served
   Counter& reopt_tier_hungarian; // Hungarian-only fallback served
   Counter& reopt_tier_greedy;    // greedy re-association served
   Counter& reopt_tier_hold;      // held last-good assignment
-  // Always 0: the joint channel-recolouring rung is gone. The counter stays
-  // registered because the obs golden lists it.
-  Counter& reopt_tier_joint;
-  Counter& reopt_budget_overruns;  // budget expired before any tier fit
   // Flap quarantine: oscillating backhauls forced out of reoptimization.
   Counter& quarantine_trips;
   Counter& quarantine_releases;
@@ -150,7 +146,6 @@ struct FleetCounters {
   Counter& circuit_breaks;       // crash loops parked in Degraded
   Counter& probes;               // half-open probes of degraded shards
   Counter& reopt_scheduled;      // per-shard reoptimizations scheduled
-  Counter& reopt_overruns;       // shard reopt blew its wall budget
 };
 
 // sim/workload + frontier replay: trace generation volume and the
@@ -211,9 +206,6 @@ struct LogCounters {
 struct RecoverCounters {
   explicit RecoverCounters(MetricsRegistry& r);
   LogCounters journal;              // recover.journal.* (sweep journal)
-  // recover.journal.compact_failed: always 0, since the sweep journal no
-  // longer compacts; kept registered because the obs golden lists it.
-  Counter& journal_compact_failed;
   LogCounters fleet;                // recover.fleet.* (fleet journal)
 };
 
@@ -294,8 +286,7 @@ struct ControllerCounters {
   NoopCounter directives_sent, directives_retried, directives_given_up,
       acks, acks_stale, evictions, reopt_guard_trips, policy_runs,
       scans_skipped, reopt_tier_full, reopt_tier_hungarian, reopt_tier_greedy,
-      reopt_tier_hold, reopt_tier_joint, reopt_budget_overruns,
-      quarantine_trips, quarantine_releases;
+      reopt_tier_hold, quarantine_trips, quarantine_releases;
 };
 struct JointCounters {
   NoopCounter solves, rounds, recolours, improvements, converged,
@@ -304,7 +295,7 @@ struct JointCounters {
 struct FleetCounters {
   NoopCounter enqueued, delivered, shed_total, shed_scan, shed_directive,
       shed_capacity, shed_ack, shed_departure, dropped_unavailable, restarts,
-      circuit_breaks, probes, reopt_scheduled, reopt_overruns;
+      circuit_breaks, probes, reopt_scheduled;
 };
 struct WorkloadCounters {
   NoopCounter traces, events, arrivals, departures, moves, load_updates,
@@ -324,7 +315,6 @@ struct LogCounters {
 };
 struct RecoverCounters {
   LogCounters journal;
-  NoopCounter journal_compact_failed;
   LogCounters fleet;
 };
 
