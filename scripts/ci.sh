@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build (compiler warnings are errors) + tests, every target
-# built and the suite run with observability compiled out (-DWOLT_OBS=OFF),
-# the full suite under ASan/UBSan, the full suite under TSan (the sweep
-# engine's thread pool races would be invisible to ASan), storage-fault
-# smokes (exhaustive crash-point harness in the default and ASan builds,
-# randomized crash points under TSan), the fig6a_cdf.csv and joint-sweep
-# (--channels=3) goldens, a parallel-determinism smoke (a 4-thread sweep must
-# emit byte-identical CSV to a 1-thread sweep), a chaos smoke checked against
-# its committed table, the Fig. 6b/6c online-epoch goldens, the repository
-# benchmark's output checks (perfbench/), two perf gates (obs hooks <= 5%,
-# Vfs storage seam <= 1%) and a syntax check of scripts/perf_pairs.sh. Run
-# from anywhere; everything happens at the repo root.
+# CI gate (compiler warnings are errors in every build lane): tier-1 build +
+# tests, every target built and the suite run with observability compiled
+# out (-DWOLT_OBS=OFF), the full suite under ASan/UBSan, the full suite under
+# TSan (the sweep engine's thread pool races would be invisible to ASan),
+# storage-fault smokes (exhaustive crash-point harness in the default and
+# ASan builds, randomized crash points under TSan), the fig6a_cdf.csv and
+# joint-sweep (--channels=3) goldens, a parallel-determinism smoke (a
+# 4-thread sweep must emit byte-identical CSV to a 1-thread sweep), a chaos
+# smoke checked against its committed table, the Fig. 6b/6c online-epoch
+# goldens, the repository benchmark's output checks (perfbench/), two perf
+# gates (obs hooks <= 5%, Vfs storage seam <= 1%) and a syntax check of
+# scripts/perf_pairs.sh. Run from anywhere; everything happens at the repo
+# root.
 #
 #   scripts/ci.sh               the full gate above
 #   scripts/ci.sh --coverage    observability coverage gate instead: gcov
@@ -86,7 +87,7 @@ if pct < 90.0:
 PY
 
   echo "==> coverage: TSan pass over the lock-free metrics path"
-  cmake --preset tsan >/dev/null
+  cmake --preset tsan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
   cmake --build build-tsan -j"$(nproc)" --target obs_test obs_golden_test \
     thread_pool_test sweep_determinism_test local_search_test \
     solver_differential_test
@@ -116,18 +117,18 @@ echo "==> storage-fault smoke: exhaustive crash-point harness (default build)"
 ./build/tests/storage_crash_test \
     --gtest_filter='StorageCrashSweep.*:StorageCrashFleet.*'
 
-echo "==> obs-off: configure + build (build-obsoff/, -DWOLT_OBS=OFF)"
+echo "==> obs-off: configure + build (build-obsoff/, -DWOLT_OBS=OFF, warnings are errors)"
 # WOLT_OBS=OFF compiles every instrumentation hook out; every target must
 # still build, and tests that read obs counters skip themselves.
 cmake -B build-obsoff -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DWOLT_OBS=OFF \
-    >/dev/null
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build-obsoff -j"$(nproc)"
 
 echo "==> obs-off: ctest"
 ctest --test-dir build-obsoff --output-on-failure
 
-echo "==> sanitize: configure + build (build-asan/, ASan+UBSan)"
-cmake --preset sanitize >/dev/null
+echo "==> sanitize: configure + build (build-asan/, ASan+UBSan, warnings are errors)"
+cmake --preset sanitize -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build-asan -j"$(nproc)"
 
 echo "==> sanitize: ctest (includes the 100-seed chaos soak and the"
@@ -141,8 +142,8 @@ echo "==> storage-fault smoke: crash-point pass under ASan (strided)"
 ./build-asan/tests/storage_crash_test \
     --gtest_filter='StorageCrashSweep.PowerCut*:StorageCrashFleet.PowerCut*'
 
-echo "==> tsan: configure + build (build-tsan/, ThreadSanitizer)"
-cmake --preset tsan >/dev/null
+echo "==> tsan: configure + build (build-tsan/, ThreadSanitizer, warnings are errors)"
+cmake --preset tsan -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build-tsan -j"$(nproc)"
 
 echo "==> tsan: ctest (full suite under TSan)"

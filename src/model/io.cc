@@ -145,7 +145,8 @@ LoadResult LoadNetworkDetailed(std::istream& in) {
       ++line_number;
       const std::size_t first = line.find_first_not_of(" \t\r");
       if (first == std::string::npos || line[first] == '#') continue;
-      parsed = std::istringstream(line);
+      parsed.clear();
+      parsed.str(line);
       return true;
     }
     return false;

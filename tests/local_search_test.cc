@@ -498,7 +498,7 @@ TEST(CoChannelScreenTest, ScreenedSearchEqualsUnscreened) {
     UnscreenedSearch reference(net, want, options);
     if (fresh) reference.Insert(everyone);
     const model::Assignment want_inserted = want;
-    const SearchCounts counts = reference.Relocate(movable);
+    [[maybe_unused]] const SearchCounts counts = reference.Relocate(movable);
 
     model::Assignment got = start;
     obs::MetricsRegistry registry;

@@ -65,11 +65,6 @@ std::string RunAtThreads(int threads) {
   return result.metrics.DeterministicJson();
 }
 
-fs::path GoldenPath() {
-  return fs::path(WOLT_TEST_DATA_DIR) / "obs_golden" /
-         "sweep_metrics_deterministic.json";
-}
-
 TEST(ObsGoldenTest, DeterministicSnapshotIdenticalAcrossThreadCounts) {
   const std::string at1 = RunAtThreads(1);
   EXPECT_FALSE(at1.empty());
@@ -96,7 +91,8 @@ TEST(ObsGoldenTest, DeterministicSnapshotIdenticalAcrossThreadCounts) {
   EXPECT_NE(at1.find("\"hungarian.solves\""), std::string::npos);
   EXPECT_NE(at1.find("\"ls.relocate.generated\""), std::string::npos);
 
-  const fs::path golden_path = GoldenPath();
+  const fs::path golden_path = fs::path(WOLT_TEST_DATA_DIR) / "obs_golden" /
+                                "sweep_metrics_deterministic.json";
   if (std::getenv("WOLT_REGEN_OBS_GOLDEN") != nullptr) {
     fs::create_directories(golden_path.parent_path());
     std::ofstream out(golden_path, std::ios::binary);
