@@ -3,7 +3,7 @@
 // shard supervisor (restart backoff, crash-loop circuit breaker, half-open
 // probes), and the sharded round loop itself (thread-count-invariant
 // reports, fault isolation of a poisoned shard, degraded hold-last-good,
-// virtual-budget reopt degradation through the PR 5 ladder), plus pins of
+// virtual-budget reopt degradation down the tier ladder), plus pins of
 // the journal's on-disk fingerprint and supervisor snapshot bytes.
 #include <gtest/gtest.h>
 
@@ -441,8 +441,9 @@ TEST(FleetRuntime, FleetStateRoundTripsThroughSaveRestore) {
 // carry Supervisor::SaveState bytes, so both are on-disk format: a journal
 // written by an older build must still resume. The pinned values were
 // computed before the supervisor's overrun tolerance was retired (native
-// byte order, as written on a little-endian host); neither involves
-// floating-point arithmetic, so every build preset reads the same bytes.
+// byte order, as written on a little-endian host). Doubles enter them only
+// as raw bits or as exact small-integer products, so every build preset
+// reads the same bytes.
 
 std::string Hex(const std::string& bytes) {
   static const char kDigits[] = "0123456789abcdef";
